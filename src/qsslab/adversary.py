@@ -59,6 +59,21 @@ def _measure_secret(state: np.ndarray, u_psi: np.ndarray, rng) -> str:
     return SECRETS[idx]
 
 
+def _check_same_set(bound: NonceSet | None, given: NonceSet) -> None:
+    """Refuse exact tables for a set other than the one the strategy plays.
+
+    Sets are compared by content: ``builtin_nonce_set`` returns a fresh
+    object on every call.
+    """
+    if bound is None or given is bound:
+        return
+    if not np.array_equal(np.array(given.states), np.array(bound.states)):
+        raise ValidationError(
+            f"strategy is bound to nonce set {bound.name!r}; "
+            f"refusing exact branches for a different set {given.name!r}"
+        )
+
+
 class HonestStrategy:
     """No tampering: forwards Bob's qubit unchanged, learns nothing."""
 
@@ -102,6 +117,7 @@ class ImrGuessStrategy:
             self._bind(nonce_set)
 
     def _bind(self, nonce_set: NonceSet):
+        _check_same_set(self.nonce_set, nonce_set)
         if self.nonce_set is None:
             self.nonce_set = nonce_set
         if self.guess != "uniform-random" and not 0 <= self.guess < len(self.nonce_set):
@@ -277,6 +293,7 @@ class IfrStrategy:
         return self.plan.lookup(i, self.learned_secret)
 
     def exact_branches(self, nonce_set, i, s):
+        _check_same_set(self._nonce_set, nonce_set)
         share = share_state(nonce_set.states[i], s)
         probs = np.abs(nonce_set.reflections[i] @ share) ** 2
         branches = []

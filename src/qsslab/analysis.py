@@ -30,10 +30,19 @@ from .linalg import (
     pure_density,
     validate_state,
 )
-from .nonces import NonceSet, SECRETS, basis_state, reflection, share_state
+from .nonces import (
+    MINUS,
+    MINUS_I,
+    NonceSet,
+    PLUS,
+    PLUS_I,
+    SECRETS,
+    basis_state,
+    reflection,
+    share_state,
+)
 
-_GRID_STEP = 0.01
-_grid_cache: dict = {}
+_GRID_STEP = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -140,23 +149,16 @@ def check_imr(nonce_set: NonceSet) -> float:
 # ---------------------------------------------------------------------------
 # R(s): the optimal average fidelity of a single-qubit fake share
 
-def _bloch_grid() -> tuple[np.ndarray, np.ndarray]:
-    """Dense lexicographic grid over the Bloch ball (step 0.01), cached."""
-    if "pts" not in _grid_cache:
-        xs = np.linspace(-1.0, 1.0, int(round(2.0 / _GRID_STEP)) + 1)
-        pts = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1).reshape(-1, 3)
-        inside = (pts * pts).sum(axis=1) <= 1.0 + 1e-12
-        pts = pts[inside]
-        _grid_cache["pts"] = pts
-        _grid_cache["root"] = np.sqrt(np.maximum(1.0 - (pts * pts).sum(axis=1), 0.0))
-    return _grid_cache["pts"], _grid_cache["root"]
-
-
 def _objective_coeffs(sigmas) -> tuple[np.ndarray, float]:
     """Average qubit fidelity against ``sigmas`` at Bloch point p reads
-    1/2 + (p . b_mean)/2 + c_mean * sqrt(1 - |p|^2)."""
+    1/2 + (p . b_mean)/2 + c_mean * sqrt(1 - |p|^2).
+
+    A pure sigma contributes exactly 0 to c_mean; its float-noise
+    determinant would otherwise add about 3e-9 per state."""
     blochs = np.array([bloch_from_density(s) for s in sigmas])
-    dets = np.array([max(np.linalg.det(np.asarray(s)).real, 0.0) for s in sigmas])
+    dets = np.array([
+        0.0 if is_pure(s) else max(np.linalg.det(s).real, 0.0) for s in sigmas
+    ])
     return blochs.mean(axis=0), float(np.sqrt(dets).mean())
 
 
@@ -172,9 +174,16 @@ def _project_to_ball(points: np.ndarray) -> np.ndarray:
 
 
 def _grid_maximize(sigmas) -> tuple[float, np.ndarray]:
+    """Numerical maximizer of the objective: an oracle for the closed form.
+
+    Scans a coarse lattice over the Bloch ball (step 0.1, about 4.2k
+    points, built per call), then refines by pattern search.
+    """
     b_mean, c_mean = _objective_coeffs(sigmas)
-    pts, root = _bloch_grid()
-    values = 0.5 + 0.5 * (pts @ b_mean) + c_mean * root
+    xs = np.linspace(-1.0, 1.0, int(round(2.0 / _GRID_STEP)) + 1)
+    pts = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1).reshape(-1, 3)
+    pts = pts[(pts * pts).sum(axis=1) <= 1.0 + 1e-12]
+    values = _objective_at(pts, b_mean, c_mean)
     best = int(values.argmax())
     p = pts[best]
     value = float(values[best])
@@ -205,29 +214,37 @@ def _grid_maximize(sigmas) -> tuple[float, np.ndarray]:
 def max_average_fidelity(sigmas, method: str = "auto") -> tuple[float, np.ndarray]:
     """Maximize (1/k) sum_i F(sigma_i, rho) over single-qubit states rho.
 
-    Returns (value, optimizer density matrix).  With all-pure ``sigmas``
-    the analytic fast path applies: the average fidelity is
-    (1 + p . b_mean)/2, maximized at the unit vector along the mean Bloch
-    vector, or at the maximally mixed state when the mean vanishes.  The
-    general path scans a dense Bloch-ball grid (step 0.01) and refines
-    locally; both paths agree on pure inputs.
+    Returns (value, optimizer density matrix).  At Bloch point p the
+    average fidelity is 1/2 + (p . b)/2 + c sqrt(1 - |p|^2), with b the
+    mean Bloch vector of ``sigmas`` and c the mean of sqrt(det sigma_i);
+    a sigma_i that passes ``is_pure`` contributes exactly 0 to c.  By
+    Cauchy-Schwarz the maximum is
+
+        R = 1/2 + sqrt(|b|^2 + 4 c^2) / 2   at   p* = b / sqrt(|b|^2 + 4 c^2).
+
+    Tie policy: when R - (1/2 + c) <= TOL the maximally mixed state
+    (p* = 0) is returned with value 1/2 + c.  ``auto`` and ``fast`` both
+    use this closed form; ``fast`` additionally insists on pure inputs.
+    ``grid`` maximizes numerically (coarse lattice plus pattern search)
+    and serves as an independent oracle for the closed form.
     """
     sigmas = [np.asarray(s, dtype=complex) for s in sigmas]
     if not sigmas:
         raise ValidationError("need at least one state")
-    all_pure = all(is_pure(s) for s in sigmas)
     if method not in ("auto", "fast", "grid"):
         raise ValidationError(f"unknown method {method!r}")
-    if method == "fast" and not all_pure:
+    if method == "grid":
+        value, p = _grid_maximize(sigmas)
+        return value, density_from_bloch(p)
+    if method == "fast" and not all(is_pure(s) for s in sigmas):
         raise ValidationError("fast path requires pure states")
-    if method in ("fast", "auto") and all_pure:
-        b_mean = np.array([bloch_from_density(s) for s in sigmas]).mean(axis=0)
-        norm = float(np.linalg.norm(b_mean))
-        if norm < 1e-12:
-            return 0.5, density_from_bloch(np.zeros(3))
-        return 0.5 * (1.0 + norm), density_from_bloch(b_mean / norm)
-    value, p = _grid_maximize(sigmas)
-    return value, density_from_bloch(p)
+    b_mean, c_mean = _objective_coeffs(sigmas)
+    radius = float(np.sqrt(b_mean @ b_mean + 4.0 * c_mean * c_mean))
+    value = 0.5 + 0.5 * radius
+    center = float(0.5 + c_mean)
+    if value - center <= TOL:
+        return center, density_from_bloch(np.zeros(3))
+    return value, density_from_bloch(b_mean / radius)
 
 
 def bob_reduced_shares(nonce_set: NonceSet, s: str) -> list:
@@ -380,10 +397,10 @@ def certify(nonce_set: NonceSet, tol: float = TOL) -> CertificationReport:
 # Plain-text rendering in the layout of the share/reduced-share tables
 
 _NAMED_QUBITS = {
-    "|+>": np.array([1, 1], dtype=complex) / np.sqrt(2),
-    "|->": np.array([1, -1], dtype=complex) / np.sqrt(2),
-    "|+i>": np.array([1, 1j], dtype=complex) / np.sqrt(2),
-    "|-i>": np.array([1, -1j], dtype=complex) / np.sqrt(2),
+    "|+>": PLUS,
+    "|->": MINUS,
+    "|+i>": PLUS_I,
+    "|-i>": MINUS_I,
     "|0>": np.array([1, 0], dtype=complex),
     "|1>": np.array([0, 1], dtype=complex),
 }

@@ -8,7 +8,8 @@ SOURCE_DATE_EPOCH so identical inputs, seed and version produce
 byte-identical output files.
 
 Exit codes: 0 success / all certifications pass, 1 certification failure,
-2 validation error, 3 internal error.
+2 validation or I/O error, 3 internal error (any other exception), each
+with a one-line message on stderr.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import time
 import numpy as np
 
 from . import __version__, adversary, analysis
-from .errors import CertificationError, QsslabError, ValidationError
+from .errors import CertificationError, ValidationError
 from .nonces import NonceSet, SECRETS, resolve_nonce_source
 from .protocol import (
     EAVESDROPPER_DETECTED,
@@ -40,14 +41,41 @@ EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
 
 
+def _env_int(name: str, default: int) -> int:
+    """A non-negative integer from the environment, or ``default`` if unset."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise ValidationError(
+            f"environment variable {name} must be a non-negative integer, got {raw!r}")
+    return value
+
+
 def _timestamp() -> str:
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    t = int(epoch) if epoch is not None else int(time.time())
+    t = _env_int("SOURCE_DATE_EPOCH", int(time.time()))
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("QSSLAB_SEED", "0"))
+    return _env_int("QSSLAB_SEED", 0)
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def build_manifest(command: str, nonce_source: str, seed: int,
@@ -78,12 +106,13 @@ def _write_json(path: str, payload: dict) -> None:
 # certify
 
 def cmd_certify(args) -> int:
+    manifest = build_manifest("certify", args.nonces, _default_seed(), 0, 0.5) \
+        if args.out else None
     nonce_set = resolve_nonce_source(args.nonces)
     report = analysis.certify(nonce_set, tol=args.tol)
     text = analysis.format_certification(nonce_set, report)
     sys.stdout.write(text)
     if args.out:
-        manifest = build_manifest("certify", args.nonces, _default_seed(), 0, 0.5)
         _write_json(args.out, {
             "kind": "certification",
             "manifest": manifest,
@@ -299,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nonces", required=True)
     p.add_argument("--strategy", required=True,
                    help="honest | imr-guess[:j] (1-based) | ifr:<plan path>")
-    p.add_argument("--rounds", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--rounds", type=_int_at_least(1), default=10000)
+    p.add_argument("--seed", type=_int_at_least(0), default=None,
                    help="defaults to QSSLAB_SEED, then 0")
     p.add_argument("--mode-prior", type=float, default=0.5, dest="mode_prior")
     p.add_argument("--exact", action="store_true",
@@ -325,11 +354,11 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         sys.stderr.write(f"certification failure: {exc}\n")
         return EXIT_CERTIFICATION
-    except (ValidationError, FileNotFoundError) as exc:
+    except (ValidationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
-    except QsslabError as exc:
-        sys.stderr.write(f"internal error: {exc}\n")
+    except Exception as exc:  # exit 3 with one line, never a traceback
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
 
 

@@ -6,9 +6,8 @@ first tensor factor held by Eve), density matrices and unitaries are 2-D
 complex arrays.  All operations are pure functions; inputs are never
 mutated.
 
-Tolerances: TOL (1e-9) for algebraic identities that hold exactly at these
-dimensions, STOCHASTIC_TOL (1e-4) when comparing against sampled
-brute-force oracles.
+Tolerance: TOL (1e-9) for algebraic identities that hold exactly at these
+dimensions.
 """
 from __future__ import annotations
 
@@ -17,7 +16,6 @@ import numpy as np
 from .errors import UnsupportedCaseError, ValidationError
 
 TOL = 1e-9
-STOCHASTIC_TOL = 1e-4
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -42,24 +40,6 @@ def validate_state(v, *, dim: int | None = None, tol: float = 1e-6,
     if abs(norm - 1.0) > tol:
         raise ValidationError(f"{what} is not normalized (norm {norm:.9g})")
     return arr / norm
-
-
-def validate_density(rho, *, dim: int | None = None, tol: float = TOL) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a density matrix."""
-    mat = np.asarray(rho, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValidationError("density matrix must be square")
-    if dim is not None and mat.shape[0] != dim:
-        raise ValidationError(f"density matrix must be {dim}x{dim}, got {mat.shape[0]}x{mat.shape[1]}")
-    if not np.all(np.isfinite(mat)):
-        raise ValidationError("density matrix contains non-finite entries")
-    if np.abs(mat - mat.conj().T).max() > tol:
-        raise ValidationError("density matrix is not Hermitian")
-    if abs(np.trace(mat).real - 1.0) > max(tol, 1e-9):
-        raise ValidationError(f"density matrix trace is {np.trace(mat).real:.9g}, expected 1")
-    if np.linalg.eigvalsh(mat).min() < -max(tol, 1e-9):
-        raise ValidationError("density matrix has a negative eigenvalue")
-    return mat
 
 
 def validate_unitary(u, *, dim: int | None = None, tol: float = 1e-6) -> np.ndarray:

@@ -127,6 +127,9 @@ def builtin_nonce_set(name: str) -> NonceSet:
 def nonce_set_from_json_dict(data: dict) -> NonceSet:
     if not isinstance(data, dict) or "name" not in data or "states" not in data:
         raise ValidationError('nonce-set JSON must have "name" and "states" keys')
+    if not isinstance(data["states"], list):
+        raise ValidationError(
+            f'"states" must be a list of states, got {type(data["states"]).__name__}')
     states = []
     for i, raw in enumerate(data["states"]):
         try:

@@ -16,7 +16,7 @@ from qsslab.adversary import (
 from qsslab.analysis import r_of_s
 from qsslab.errors import CertificationError, PlanIncompleteError, ValidationError
 from qsslab.linalg import TOL, haar_state, haar_unitaries, state_fidelity
-from qsslab.nonces import NonceSet, SECRETS, share_state
+from qsslab.nonces import NonceSet, SECRETS, builtin_nonce_set, share_state
 from qsslab.protocol import RoundConfig, outcome_distribution, run_round, run_rounds
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -256,3 +256,31 @@ class TestPlanSerialization:
         path.write_text('{"alpha": "nope"}')
         with pytest.raises(ValidationError):
             load_plan(path)
+
+
+class TestStrategyRebind:
+    def test_imr_guess_refuses_other_set(self, hsu_set, proposed_set):
+        strat = imr_guess_strategy("uniform-random", proposed_set)
+        with pytest.raises(ValidationError, match="hsu-I"):
+            strat.exact_branches(hsu_set, 0, "00")
+        assert strat.nonce_set is proposed_set
+
+    def test_imr_guess_unbound_binds_on_first_set(self, hsu_set, proposed_set):
+        strat = imr_guess_strategy(0)
+        strat.exact_branches(proposed_set, 0, "00")
+        with pytest.raises(ValidationError):
+            strat.exact_branches(hsu_set, 0, "00")
+
+    def test_imr_guess_accepts_equal_contents(self, proposed_set):
+        # builtin_nonce_set returns a fresh object each call
+        strat = imr_guess_strategy(1, builtin_nonce_set("proposed-J"))
+        fresh = outcome_distribution(builtin_nonce_set("proposed-J"), strat)
+        assert fresh.p_detect == outcome_distribution(
+            proposed_set, imr_guess_strategy(1, proposed_set)).p_detect
+
+    def test_ifr_refuses_other_set_of_same_size(self, proposed_set):
+        plan = synthesize_plan(proposed_set, "target-01")
+        other = NonceSet(name="shuffled", states=proposed_set.states[::-1])
+        strat = ifr_strategy(plan, proposed_set)
+        with pytest.raises(ValidationError, match="shuffled"):
+            outcome_distribution(other, strat)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qsslab import analysis
 from qsslab.analysis import (
     bloch_mean_bound,
     bloch_mean_distance_bound,
@@ -21,7 +22,9 @@ from qsslab.linalg import (
     density_from_bloch,
     fidelity,
     haar_state,
+    is_pure,
     pure_density,
+    random_density,
 )
 from qsslab.nonces import (
     MINUS,
@@ -309,3 +312,64 @@ class TestCertify:
         text = format_certification(proposed_set, report)
         assert "|-><-|" in text and "|+i><+i|" in text
         assert "recoverable" in text and "PASS" in text
+
+
+def _random_collection(rng, kind: str) -> list:
+    """Single-qubit states: all pure, a pure/mixed mix, or a b = 0 set
+    (every state paired with its Bloch antipode I - sigma)."""
+    k = int(rng.integers(1, 9))
+
+    def draw():
+        if kind == "pure" or rng.random() < 0.5:
+            return pure_density(haar_state(2, rng))
+        return random_density(rng)
+
+    sigmas = [draw() for _ in range(k)]
+    if kind == "zero-mean":
+        sigmas += [EYE2 - s for s in sigmas]
+    return sigmas
+
+
+def _attained(sigmas, rho) -> float:
+    """Average fidelity against rho; <psi|rho|psi> for pure sigmas, which
+    avoids the float noise of the qubit closed form's det term."""
+    return float(np.mean([
+        np.trace(s @ rho).real if is_pure(s) else fidelity(s, rho) for s in sigmas
+    ]))
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("kind", ["pure", "mixed", "zero-mean"])
+    def test_matches_grid_oracle(self, kind):
+        rng = np.random.default_rng({"pure": 1, "mixed": 2, "zero-mean": 3}[kind])
+        for trial in range(70):
+            sigmas = _random_collection(rng, kind)
+            value, opt = max_average_fidelity(sigmas)
+            grid, _ = max_average_fidelity(sigmas, method="grid")
+            assert abs(value - grid) <= 1e-6, (kind, trial)
+            assert abs(_attained(sigmas, opt) - value) <= 1e-9, (kind, trial)
+
+    def test_zero_mean_collection_takes_maximally_mixed(self):
+        rng = np.random.default_rng(4)
+        sigmas = _random_collection(rng, "zero-mean")
+        value, opt = max_average_fidelity(sigmas)
+        assert np.abs(opt - EYE2 / 2).max() < 1e-12
+        c_mean = np.mean([0.0 if is_pure(s) else np.sqrt(np.linalg.det(s).real)
+                          for s in sigmas])
+        assert value == pytest.approx(0.5 + c_mean, abs=1e-12)
+
+    def test_certify_never_scans_a_grid(self, monkeypatch):
+        def refuse(sigmas):
+            raise AssertionError("production R(s) path scanned a grid")
+
+        monkeypatch.setattr(analysis, "_grid_maximize", refuse)
+        rng = np.random.default_rng(16)
+        random_set = NonceSet(
+            name="random-k16",
+            states=tuple(0.5 * np.exp(1j * rng.uniform(0, 2 * np.pi, 4)) for _ in range(16)),
+        )
+        for ns in (builtin_nonce_set("hsu-I"), builtin_nonce_set("proposed-J"), random_set):
+            report = certify(ns)
+            assert report.all_passed, ns.name
+            assert all(0.5 - TOL <= v <= 1.0 + TOL for v in report.r_of_s.values())
+        assert report.detection_bounds["floor"] <= report.detection_bounds["ceiling"]

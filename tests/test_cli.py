@@ -238,3 +238,47 @@ class TestManifest:
         assert manifest["seed"] == 2
         assert manifest["tool_version"]
         assert manifest["timestamp"] == "2023-11-14T22:13:20Z"
+
+
+_SIM = ["simulate", "--nonces", "builtin:proposed-J", "--strategy", "honest"]
+
+
+@pytest.mark.parametrize("argv, env, code, message", [
+    (_SIM + ["--rounds", "0"], {}, 2, "--rounds: must be >= 1, got 0"),
+    (_SIM + ["--rounds", "-5"], {}, 2, "--rounds: must be >= 1, got -5"),
+    (_SIM + ["--rounds", "many"], {}, 2, "--rounds: expected an integer"),
+    (_SIM + ["--seed", "-1"], {}, 2, "--seed: must be >= 0, got -1"),
+    (_SIM + ["--rounds", "5"], {"QSSLAB_SEED": "abc"}, 2, "QSSLAB_SEED"),
+    (_SIM + ["--rounds", "5"], {"QSSLAB_SEED": "-3"}, 2, "QSSLAB_SEED"),
+    (["certify", "--nonces", "builtin:proposed-J", "--out", "{tmp}/c.json"],
+     {"SOURCE_DATE_EPOCH": "x"}, 2, "SOURCE_DATE_EPOCH"),
+    (_SIM + ["--rounds", "5", "--out", "{tmp}/s.json"],
+     {"SOURCE_DATE_EPOCH": "x"}, 2, "SOURCE_DATE_EPOCH"),
+    (["certify", "--nonces", "{tmp}"], {}, 2, "Is a directory"),
+    (["certify", "--nonces", "{tmp}/missing.json"], {}, 2, "missing.json"),
+    (["certify", "--nonces", "{tmp}/states5.json"], {}, 2, '"states" must be a list'),
+])
+def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, argv, env, code, message):
+    (tmp_path / "states5.json").write_text(json.dumps({"name": "x", "states": 5}))
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    try:
+        got = run(argv)
+    except SystemExit as exc:  # argparse rejects bad flags at parse time
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "c.json").exists() and not (tmp_path / "s.json").exists()
+
+
+def test_unexpected_exception_exits_three(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr("qsslab.analysis.certify", boom)
+    assert run(["certify", "--nonces", "builtin:proposed-J"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: unexpected\n"
