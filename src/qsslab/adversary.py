@@ -17,13 +17,13 @@ round, or None.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import analysis
 from .errors import CertificationError, PlanIncompleteError, ValidationError
+from .jsonio import complex_from_json, complex_to_json, read_json, write_json
 from .linalg import (
     canonical_purification,
     max_overlap_unitary,
@@ -33,7 +33,7 @@ from .linalg import (
     validate_state,
     validate_unitary,
 )
-from .nonces import NonceSet, SECRETS, reflection, share_state, validate_secret
+from .nonces import NonceSet, SECRETS, sample_outcome, share_state, validate_secret
 
 POLICY_TARGET_SECRET = "target-secret"
 POLICY_TARGET_01 = "target-01"
@@ -41,22 +41,6 @@ POLICY_CUSTOM = "custom"
 POLICIES = (POLICY_TARGET_SECRET, POLICY_TARGET_01, POLICY_CUSTOM)
 
 _EYE2 = np.eye(2, dtype=complex)
-
-
-def _measure_secret(state: np.ndarray, u_psi: np.ndarray, rng) -> str:
-    """Apply a reflection to a joint state and measure both qubits."""
-    amps = u_psi @ state
-    probs = np.abs(amps) ** 2
-    probs = probs / probs.sum()
-    u = rng.random()
-    acc = 0.0
-    idx = 3
-    for j in range(4):
-        acc += probs[j]
-        if u < acc:
-            idx = j
-            break
-    return SECRETS[idx]
 
 
 def _check_same_set(bound: NonceSet | None, given: NonceSet) -> None:
@@ -136,7 +120,7 @@ class ImrGuessStrategy:
         if j == "uniform-random":
             j = int(rng.integers(0, len(self.nonce_set)))
         self._round_guess = j
-        s_prime = _measure_secret(share, self.nonce_set.reflections[j], rng)
+        s_prime = sample_outcome(self.nonce_set.reflections[j] @ share, rng)
         self.learned_secret = s_prime
         return share_state(self.nonce_set.states[j], s_prime)
 
@@ -209,45 +193,39 @@ class AttackPlan:
 
     def to_json_dict(self) -> dict:
         return {
-            "alpha": [[z.real, z.imag] for z in self.alpha],
+            "alpha": complex_to_json(self.alpha),
             "policy": self.policy,
-            "v_table": {
-                f"{i + 1},{s}": [[[z.real, z.imag] for z in row] for row in v]
-                for (i, s), v in sorted(self.v_table.items())
-            },
+            "v_table": {f"{i + 1},{s}": complex_to_json(v) for (i, s), v in self.v_table.items()},
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AttackPlan":
-        try:
-            alpha = np.array([complex(re, im) for re, im in data["alpha"]], dtype=complex)
-            policy = data["policy"]
-            v_table = {}
-            for key, rows in data["v_table"].items():
-                i_str, s = key.split(",")
-                v_table[(int(i_str) - 1, s)] = np.array(
-                    [[complex(re, im) for re, im in row] for row in rows], dtype=complex
-                )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed attack-plan JSON: {exc}") from exc
-        return cls(alpha=alpha, v_table=v_table, policy=policy)
+        if not isinstance(data, dict) or not {"alpha", "policy", "v_table"} <= data.keys():
+            raise ValidationError('attack-plan JSON must have "alpha", "policy" and "v_table" keys')
+        if not isinstance(data["v_table"], dict):
+            raise ValidationError(
+                f'"v_table" must be an object, got {type(data["v_table"]).__name__}')
+        v_table = {}
+        for key, rows in data["v_table"].items():
+            i_str, _, s = key.partition(",")
+            if not (i_str.isdecimal() and int(i_str) >= 1):
+                raise ValidationError(f'v_table key {key!r} must read "<nonce>,<secret>"'
+                                      " with a 1-based nonce index")
+            v_table[(int(i_str) - 1, s)] = complex_from_json(rows, (2, 2), f"v_table entry {key}")
+        alpha = complex_from_json(data["alpha"], (4,), "alpha")
+        return cls(alpha=alpha, v_table=v_table, policy=data["policy"])
 
 
 def save_plan(plan: AttackPlan, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(plan.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, plan.to_json_dict())
 
 
 def load_plan(path) -> AttackPlan:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    return AttackPlan.from_json_dict(data)
+    data = read_json(path)
+    try:
+        return AttackPlan.from_json_dict(data)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 class IfrStrategy:
@@ -289,7 +267,7 @@ class IfrStrategy:
         if self._nonce_set is None:
             raise ValidationError("IfrStrategy must be bound to a nonce set before simulation")
         u_psi = self._nonce_set.reflections[i]
-        self.learned_secret = _measure_secret(self._retained, u_psi, rng)
+        self.learned_secret = sample_outcome(u_psi @ self._retained, rng)
         return self.plan.lookup(i, self.learned_secret)
 
     def exact_branches(self, nonce_set, i, s):

@@ -433,9 +433,7 @@ def format_certification(nonce_set: NonceSet, report: CertificationReport) -> st
     header = " " * 6 + "".join(f"psi_{i + 1:<2}".ljust(width) for i in range(len(nonce_set)))
     lines.append(header)
     for s in SECRETS:
-        cells = []
-        for psi in nonce_set.states:
-            rho = partial_trace_E(pure_density(share_state(psi, s)))
-            cells.append(_label_qubit_state(rho).ljust(width))
-        lines.append(f"s={s}  " + "".join(cells))
+        cells = "".join(_label_qubit_state(rho).ljust(width)
+                        for rho in bob_reduced_shares(nonce_set, s))
+        lines.append(f"s={s}  " + cells)
     return "\n".join(lines) + "\n"

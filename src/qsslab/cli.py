@@ -25,7 +25,9 @@ import numpy as np
 
 from . import __version__, adversary, analysis
 from .errors import CertificationError, ValidationError
-from .nonces import NonceSet, SECRETS, resolve_nonce_source
+from .jsonio import complex_from_json, read_json, write_json
+from .linalg import validate_state
+from .nonces import NonceSet, resolve_nonce_source
 from .protocol import (
     EAVESDROPPER_DETECTED,
     RETIRED,
@@ -96,12 +98,6 @@ def manifest_hash(manifest: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # certify
 
@@ -113,7 +109,7 @@ def cmd_certify(args) -> int:
     text = analysis.format_certification(nonce_set, report)
     sys.stdout.write(text)
     if args.out:
-        _write_json(args.out, {
+        write_json(args.out, {
             "kind": "certification",
             "manifest": manifest,
             "certification": report.to_json_dict(),
@@ -128,16 +124,21 @@ def cmd_certify(args) -> int:
 # ---------------------------------------------------------------------------
 # attack
 
+def _load_alpha(path: str) -> np.ndarray:
+    """The ``--alpha`` file: a normalized two-qubit state as [re, im] pairs."""
+    raw = read_json(path)
+    try:
+        alpha = complex_from_json(raw, (4,), "alpha")
+        # synthesize_plan normalizes alpha itself; check here to name the file.
+        validate_state(alpha, dim=4, what="alpha")
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    return alpha
+
+
 def cmd_attack(args) -> int:
     nonce_set = resolve_nonce_source(args.nonces)
-    alpha = None
-    if args.alpha:
-        with open(args.alpha, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-                alpha = np.array([complex(re, im) for re, im in raw], dtype=complex)
-            except (json.JSONDecodeError, TypeError, ValueError) as exc:
-                raise ValidationError(f"{args.alpha}: expected JSON [[re,im] x4]: {exc}") from exc
+    alpha = _load_alpha(args.alpha) if args.alpha else None
     plan = adversary.synthesize_plan(nonce_set, args.policy, alpha=alpha)
     overlaps = adversary.plan_overlaps(plan, nonce_set)
     for (i, s), val in sorted(overlaps.items()):
@@ -168,8 +169,12 @@ def _parse_strategy(selector: str, nonce_set: NonceSet):
             return adversary.imr_guess_strategy(guess, nonce_set)
         return adversary.imr_guess_strategy("uniform-random", nonce_set)
     if selector.startswith("ifr:"):
-        plan = adversary.load_plan(selector.split(":", 1)[1])
-        return adversary.ifr_strategy(plan, nonce_set)
+        path = selector.split(":", 1)[1]
+        plan = adversary.load_plan(path)
+        try:
+            return adversary.ifr_strategy(plan, nonce_set)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
     raise ValidationError(
         f"unknown strategy {selector!r}; use honest, imr-guess[:j] or ifr:<plan path>")
 
@@ -221,8 +226,8 @@ def cmd_simulate(args) -> int:
         f"(exact {exact.p_detect:.6g}), eve_knows_secret={result['p_eve_knows_secret']:.6g}\n"
     )
     if args.out:
-        _write_json(args.out, {"kind": "simulation", "manifest": manifest,
-                               "simulation": result})
+        write_json(args.out, {"kind": "simulation", "manifest": manifest,
+                              "simulation": result})
     return EXIT_OK
 
 
@@ -238,7 +243,12 @@ _REPORT_COLUMNS = (
 
 def _report_row(payload: dict) -> dict:
     row = {c: "" for c in _REPORT_COLUMNS}
-    if payload.get("kind") == "certification":
+    kind = payload["kind"]
+    if kind not in ("certification", "simulation"):
+        raise ValidationError("unrecognized report kind")
+    if not isinstance(payload[kind], dict):
+        raise ValidationError(f'"{kind}" must be an object')
+    if kind == "certification":
         cert = payload["certification"]
         row.update({
             "nonce_set": cert["nonce_set_name"],
@@ -254,7 +264,7 @@ def _report_row(payload: dict) -> dict:
         if cert.get("detection_bounds"):
             row["detection_floor"] = cert["detection_bounds"]["floor"]
             row["detection_ceiling"] = cert["detection_bounds"]["ceiling"]
-    elif payload.get("kind") == "simulation":
+    else:
         sim = payload["simulation"]
         row.update({
             "nonce_set": sim["nonce_set"],
@@ -264,8 +274,6 @@ def _report_row(payload: dict) -> dict:
             "exact_p_detect": sim["exact_p_detect"],
             "p_eve_knows_secret": sim["p_eve_knows_secret"],
         })
-    else:
-        raise ValidationError("unrecognized report kind")
     return row
 
 
@@ -273,11 +281,11 @@ def cmd_report(args) -> int:
     rows = []
     seen = set()
     for path in args.inputs:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: invalid JSON: {exc.msg}") from exc
+        payload = read_json(path)
+        if not isinstance(payload, dict):
+            raise ValidationError(
+                f"{path}: not a qsslab report (expected a JSON object, "
+                f"got {type(payload).__name__})")
         if "manifest" not in payload or "kind" not in payload:
             raise ValidationError(f"{path}: not a qsslab report (missing manifest/kind)")
         digest = manifest_hash(payload["manifest"])
@@ -286,10 +294,10 @@ def cmd_report(args) -> int:
         seen.add(digest)
         try:
             rows.append(_report_row(payload))
-        except (KeyError, ValidationError) as exc:
+        except (KeyError, TypeError, ValidationError) as exc:
             raise ValidationError(f"{path}: schema mismatch: {exc}") from exc
     rows.sort(key=lambda r: (str(r["nonce_set"]), str(r["strategy"])))
-    _write_json(args.out + ".json", {"columns": list(_REPORT_COLUMNS), "rows": rows})
+    write_json(args.out + ".json", {"columns": list(_REPORT_COLUMNS), "rows": rows})
     with open(args.out + ".csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_REPORT_COLUMNS)
         writer.writeheader()

@@ -48,6 +48,10 @@ def validate_unitary(u, *, dim: int | None = None, tol: float = 1e-6) -> np.ndar
         raise ValidationError("unitary must be square")
     if dim is not None and mat.shape[0] != dim:
         raise ValidationError(f"unitary must be {dim}x{dim}, got {mat.shape[0]}x{mat.shape[1]}")
+    # Entries of a unitary have modulus <= 1; this also rejects NaN and Inf,
+    # and keeps the product below from overflowing.
+    if not np.abs(mat).max() <= 1.0 + tol:
+        raise ValidationError("unitary has non-finite entries or entries above 1 in modulus")
     if np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max() > tol:
         raise ValidationError("matrix is not unitary")
     return mat
@@ -101,7 +105,10 @@ def fidelity(rho, sigma) -> float:
     """Squared-convention fidelity, F(pure, pure) = |<a|b>|^2.
 
     Dimension 2 uses the qubit closed form
-        F = Tr(rho sigma) + 2 sqrt(det rho * det sigma).
+        F = Tr(rho sigma) + 2 sqrt(det rho * det sigma),
+    with the determinant term exactly 0 when either argument passes
+    ``is_pure``; its float-noise determinant would otherwise add up to
+    about 1e-8.
     Dimension 4 requires at least one pure argument and evaluates
     <pure| other |pure>; the mixed-mixed two-qubit case is rejected.
     """
@@ -110,7 +117,10 @@ def fidelity(rho, sigma) -> float:
     if rho.shape != sigma.shape:
         raise ValidationError("fidelity requires equal dimensions")
     if rho.shape == (2, 2):
-        cross = np.linalg.det(rho).real * np.linalg.det(sigma).real
+        if is_pure(rho) or is_pure(sigma):
+            cross = 0.0
+        else:
+            cross = np.linalg.det(rho).real * np.linalg.det(sigma).real
         val = np.trace(rho @ sigma).real + 2.0 * np.sqrt(max(cross, 0.0))
         return float(min(max(val, 0.0), 1.0))
     if rho.shape != (4, 4):

@@ -9,18 +9,19 @@ Two nonce sets ship with the package:
                     equatorial single-qubit states.
 
 Custom sets of any size load from JSON: ``{"name": str, "states":
-[[[re, im] x4], ...]}`` with amplitudes in basis order 00, 01, 10, 11.
+[[[re, im] x4], ...]}`` with amplitudes in basis order 00, 01, 10, 11
+(complex arrays are encoded as described in ``qsslab.jsonio``).
 Nonce indices are 0-based in code and 1-based in files and reports.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
+from .jsonio import complex_from_json, complex_to_json, read_json
 from .linalg import tensor, validate_state
 
 SECRETS = ("00", "01", "10", "11")
@@ -34,6 +35,23 @@ MINUS_I = np.array([1, -1j], dtype=complex) * _S2
 SINGLE_QUBIT_STATES = {"+": PLUS, "-": MINUS, "+i": PLUS_I, "-i": MINUS_I}
 
 BUILTIN_NAMES = ("hsu-I", "proposed-J")
+
+
+def sample_outcome(state: np.ndarray, rng) -> str:
+    """Measure a two-qubit state in the computational basis.
+
+    Inverse-CDF sampling that consumes exactly one ``rng.random()``; when
+    rounding leaves the draw above the last partial sum the outcome is 11.
+    """
+    probs = np.abs(state) ** 2
+    probs = probs / probs.sum()
+    u = rng.random()
+    acc = 0.0
+    for idx in range(4):
+        acc += probs[idx]
+        if u < acc:
+            return SECRETS[idx]
+    return SECRETS[3]
 
 
 def basis_state(s: str) -> np.ndarray:
@@ -77,7 +95,7 @@ class NonceSet:
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,
-            "states": [[[z.real, z.imag] for z in v] for v in self.states],
+            "states": complex_to_json(np.array(self.states)),
         }
 
 
@@ -130,28 +148,17 @@ def nonce_set_from_json_dict(data: dict) -> NonceSet:
     if not isinstance(data["states"], list):
         raise ValidationError(
             f'"states" must be a list of states, got {type(data["states"]).__name__}')
-    states = []
-    for i, raw in enumerate(data["states"]):
-        try:
-            amps = np.array([complex(re, im) for re, im in raw], dtype=complex)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"state {i + 1}: amplitudes must be [re, im] pairs") from exc
-        if amps.shape != (4,):
-            raise ValidationError(f"state {i + 1}: expected 4 amplitudes, got {amps.shape[0]}")
-        states.append(validate_state(amps, dim=4, what=f"state {i + 1}"))
-    return NonceSet(name=str(data["name"]), states=tuple(states))
+    states = tuple(
+        validate_state(complex_from_json(raw, (4,), f"state {i + 1}"), dim=4,
+                       what=f"state {i + 1}")
+        for i, raw in enumerate(data["states"])
+    )
+    return NonceSet(name=str(data["name"]), states=states)
 
 
 def load_nonce_set(path) -> NonceSet:
     """Load a nonce set from a JSON file; see the module docstring for format."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    data = read_json(path)
     try:
         return nonce_set_from_json_dict(data)
     except ValidationError as exc:

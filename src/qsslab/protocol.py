@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ProtocolError, ValidationError
-from .nonces import NonceSet, SECRETS, share_state, validate_secret
+from .jsonio import complex_to_json
+from .nonces import NonceSet, SECRETS, sample_outcome, share_state, validate_secret
 
 SECRET = "SECRET"
 DETECT = "DETECT"
@@ -42,8 +43,6 @@ RETIRED = "RETIRED"
 ROUND_DROPPED = "ROUND_DROPPED"
 EAVESDROPPER_DETECTED = "EAVESDROPPER_DETECTED"
 VERDICTS = (RETIRED, ROUND_DROPPED, EAVESDROPPER_DETECTED)
-
-BASIS_OUTCOMES = ("00", "01", "10", "11")
 
 _STATE_NORM_TOL = 1e-6
 
@@ -111,7 +110,7 @@ class RoundTranscript:
             "s": self.s,
             "nonce_index": self.nonce_index,
             "announced_nonce": self.announced_nonce,
-            "forwarded_to_bob": [[z.real, z.imag] for z in self.forwarded_to_bob],
+            "forwarded_to_bob": complex_to_json(self.forwarded_to_bob),
             "eve_learned_secret": self.eve_learned_secret,
             "stage_two_unitary_applied": self.stage_two_unitary_applied,
             "measured_b": self.measured_b,
@@ -127,20 +126,6 @@ def _draw_secret(cfg: RoundConfig, mode: str, rng: np.random.Generator) -> str:
             bit = int(rng.integers(0, 2))
         return "01" if bit == 0 else "10"
     return "00" if int(rng.integers(0, 2)) == 0 else "11"
-
-
-def _measure(state: np.ndarray, rng: np.random.Generator) -> str:
-    probs = np.abs(state) ** 2
-    probs = probs / probs.sum()
-    u = rng.random()
-    acc = 0.0
-    outcome = 3
-    for idx in range(4):
-        acc += probs[idx]
-        if u < acc:
-            outcome = idx
-            break
-    return BASIS_OUTCOMES[outcome]
 
 
 def run_round(cfg: RoundConfig, strategy, round_index: int = 0) -> RoundTranscript:
@@ -173,7 +158,7 @@ def run_round(cfg: RoundConfig, strategy, round_index: int = 0) -> RoundTranscri
             raise ProtocolError("stage-II operator broke normalization")
 
     recovered = nonce_set.reflections[i] @ joint
-    b = _measure(recovered, rng)
+    b = sample_outcome(recovered, rng)
     verdict, bit = stage_iv_verdict(mode, s, b)
 
     return RoundTranscript(
@@ -266,7 +251,7 @@ def outcome_distribution(nonce_set: NonceSet, strategy, mode_prior: float = 0.5)
                     for bi, pb in enumerate(probs):
                         if pb <= 0.0:
                             continue
-                        b = BASIS_OUTCOMES[bi]
+                        b = SECRETS[bi]
                         w = base * p_branch * float(pb)
                         key = (mode, s, i + 1, b)
                         table[key] = table.get(key, 0.0) + w

@@ -247,6 +247,14 @@ class TestPlanSerialization:
                 policy="target-01",
             )
 
+    def test_rejects_nan_entry(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            AttackPlan(
+                alpha=np.array([1, 0, 0, 0], dtype=complex),
+                v_table={(0, "00"): np.full((2, 2), np.nan, dtype=complex)},
+                policy="target-01",
+            )
+
     def test_rejects_bad_policy(self):
         with pytest.raises(ValidationError):
             AttackPlan(alpha=np.array([1, 0, 0, 0], dtype=complex), v_table={}, policy="nope")

@@ -257,9 +257,27 @@ _SIM = ["simulate", "--nonces", "builtin:proposed-J", "--strategy", "honest"]
     (["certify", "--nonces", "{tmp}"], {}, 2, "Is a directory"),
     (["certify", "--nonces", "{tmp}/missing.json"], {}, 2, "missing.json"),
     (["certify", "--nonces", "{tmp}/states5.json"], {}, 2, '"states" must be a list'),
+    (["report", "--inputs", "{tmp}/number.json", "--out", "{tmp}/m"], {}, 2, "number.json"),
+    (["report", "--inputs", "{tmp}/string.json", "--out", "{tmp}/m"], {}, 2, "string.json"),
+    (["report", "--inputs", "{tmp}/latin1.json", "--out", "{tmp}/m"], {}, 2, "latin1.json"),
+    (["certify", "--nonces", "{tmp}/latin1.json"], {}, 2, "latin1.json"),
+    (_SIM[:4] + ["ifr:{tmp}/vtable_list.json", "--rounds", "5"], {}, 2, "vtable_list.json"),
+    (_SIM[:4] + ["ifr:{tmp}/nan_plan.json", "--exact"], {}, 2, "nan_plan.json"),
+    (["attack", "--nonces", "builtin:proposed-J", "--policy", "target-01",
+      "--alpha", "{tmp}/alpha5.json", "--out", "{tmp}/p.json"], {}, 2, "alpha5.json"),
 ])
 def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, argv, env, code, message):
     (tmp_path / "states5.json").write_text(json.dumps({"name": "x", "states": 5}))
+    (tmp_path / "number.json").write_text("5")
+    (tmp_path / "string.json").write_text('"manifest kind"')
+    (tmp_path / "latin1.json").write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    plan = {"alpha": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+            "policy": "target-01", "v_table": []}
+    (tmp_path / "vtable_list.json").write_text(json.dumps(plan))
+    plan["v_table"] = {f"{i},{s}": [[[float("nan"), 0.0]] * 2] * 2
+                       for i in range(1, 5) for s in ("00", "01", "10", "11")}
+    (tmp_path / "nan_plan.json").write_text(json.dumps(plan))
+    (tmp_path / "alpha5.json").write_text(json.dumps([[0.5, 0.0]] * 4 + [[0.0, 0.0]]))
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]

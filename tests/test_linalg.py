@@ -21,6 +21,7 @@ from qsslab.linalg import (
     svd_2x2,
     tensor,
     validate_state,
+    validate_unitary,
 )
 from qsslab.nonces import MINUS, PLUS, PLUS_I
 
@@ -115,6 +116,17 @@ class TestFidelity:
         rng = seeded(seed)
         r, s = random_density(rng), random_density(rng)
         assert abs(fidelity(r, s) - fidelity(s, r)) < TOL
+
+    def test_pure_argument_has_no_determinant_noise(self):
+        rng = seeded(11)
+        worst = 0.0
+        for _ in range(2000):
+            psi = haar_state(2, rng)
+            rho = random_density(rng)
+            exact = np.vdot(psi, rho @ psi).real
+            worst = max(worst, abs(fidelity(pure_density(psi), rho) - exact),
+                        abs(fidelity(rho, pure_density(psi)) - exact))
+        assert worst <= 1e-12
 
     def test_unit_iff_equal(self):
         rng = seeded(9)
@@ -293,3 +305,13 @@ class TestValidateState:
     def test_rejects_wrong_dim(self):
         with pytest.raises(ValidationError):
             validate_state([1, 0], dim=4)
+
+
+class TestValidateUnitary:
+    @pytest.mark.parametrize("bad", [
+        np.full((2, 2), np.inf, dtype=complex),
+        np.array([[1e300 + 1e300j, 0], [0, 1]]),  # finite, but U^dagger U overflows to NaN
+    ])
+    def test_rejects_non_finite_or_overflowing(self, bad):
+        with pytest.raises(ValidationError):
+            validate_unitary(bad, dim=2)

@@ -18,6 +18,7 @@ from qsslab.nonces import (
     load_nonce_set,
     nonce_set_from_json_dict,
     reflection,
+    sample_outcome,
     share_state,
 )
 
@@ -194,3 +195,28 @@ class TestNonceSetJson:
     def test_custom_single_nonce_accepted(self):
         ns = NonceSet(name="one", states=(np.array([1, 0, 0, 0], dtype=complex),))
         assert len(ns) == 1
+
+
+class _FixedDraw:
+    """An rng double whose only draw is a fixed number; counts its calls."""
+
+    def __init__(self, u):
+        self.u = u
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return self.u
+
+
+class TestSampleOutcome:
+    def test_inverse_cdf_boundaries(self):
+        state = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
+        for u, expected in ((0.0, "00"), (0.2499, "00"), (0.25, "01"), (0.6, "10"), (0.99, "11")):
+            rng = _FixedDraw(u)
+            assert sample_outcome(state, rng) == expected
+            assert rng.calls == 1
+
+    def test_falls_back_to_11(self):
+        # a draw above the last partial sum lands on index 3, even at zero weight
+        assert sample_outcome(np.array([1, 0, 0, 0], dtype=complex), _FixedDraw(1.0)) == "11"
