@@ -27,8 +27,7 @@ from .jsonio import complex_from_json, complex_to_json, read_json, write_json
 from .linalg import (
     canonical_purification,
     max_overlap_unitary,
-    partial_trace_E,
-    pure_density,
+    partial_trace_E,  # noqa: F401 -- benchmarks/traced.py wraps adversary.partial_trace_E
     state_fidelity,
     validate_state,
     validate_unitary,
@@ -41,6 +40,13 @@ POLICY_CUSTOM = "custom"
 POLICIES = (POLICY_TARGET_SECRET, POLICY_TARGET_01, POLICY_CUSTOM)
 
 _EYE2 = np.eye(2, dtype=complex)
+
+
+def _recovery_branches(nonce_set: NonceSet, j: int, share: np.ndarray) -> list:
+    """``(probability, s')`` for each outcome of measuring ``share`` after the
+    reflection about nonce j; outcomes of probability <= 1e-30 are dropped."""
+    probs = np.abs(nonce_set.reflections[j] @ share) ** 2
+    return [(float(p), SECRETS[idx]) for idx, p in enumerate(probs) if p > 1e-30]
 
 
 def _check_same_set(bound: NonceSet | None, given: NonceSet) -> None:
@@ -135,15 +141,11 @@ class ImrGuessStrategy:
             if self.guess != "uniform-random"
             else [(1.0 / len(nonce_set), j) for j in range(len(nonce_set))]
         )
-        branches = []
-        for pj, j in guesses:
-            probs = np.abs(nonce_set.reflections[j] @ share) ** 2
-            for idx, p in enumerate(probs):
-                if p <= 1e-30:
-                    continue
-                s_prime = SECRETS[idx]
-                branches.append((pj * float(p), share_state(nonce_set.states[j], s_prime), s_prime))
-        return branches
+        return [
+            (pj * p, share_state(nonce_set.states[j], s_prime), s_prime)
+            for pj, j in guesses
+            for p, s_prime in _recovery_branches(nonce_set, j, share)
+        ]
 
 
 @dataclass(eq=False)
@@ -177,6 +179,10 @@ class AttackPlan:
             raise PlanIncompleteError(
                 f"attack plan has no unitary for nonce {i + 1}, secret {s}"
             ) from None
+
+    def steered(self, i: int, s: str) -> np.ndarray:
+        """``(V x I)|alpha>`` with V the unitary for nonce i and learned secret s."""
+        return np.kron(self.lookup(i, s), _EYE2) @ self.alpha
 
     def validate_for(self, nonce_set: NonceSet) -> None:
         missing = [
@@ -273,15 +279,10 @@ class IfrStrategy:
     def exact_branches(self, nonce_set, i, s):
         _check_same_set(self._nonce_set, nonce_set)
         share = share_state(nonce_set.states[i], s)
-        probs = np.abs(nonce_set.reflections[i] @ share) ** 2
-        branches = []
-        for idx, p in enumerate(probs):
-            if p <= 1e-30:
-                continue
-            s_prime = SECRETS[idx]
-            v = self.plan.lookup(i, s_prime)
-            branches.append((float(p), np.kron(v, _EYE2) @ self.plan.alpha, s_prime))
-        return branches
+        return [
+            (p, self.plan.steered(i, s_prime), s_prime)
+            for p, s_prime in _recovery_branches(nonce_set, i, share)
+        ]
 
 
 def honest_strategy() -> HonestStrategy:
@@ -313,26 +314,18 @@ def policy_target(policy: str, s: str, target_map: dict | None = None) -> str:
 def _optimizer_state(nonce_set: NonceSet, policy: str, target_map: dict | None) -> np.ndarray:
     """The single-qubit state whose purification Eve commits to.
 
-    For a fixed-target policy this is the maximizer of the average fidelity
-    against Bob's reduced shares for that target.  When the target depends
-    on the learned secret, the per-secret maximizers are used if they all
-    agree (they do for both builtin sets, where every one is I/2);
-    otherwise the maximizer of the average over all (nonce, secret) pairs
-    is committed, since alpha must be fixed before Eve learns anything.
+    Eve fixes alpha before she learns anything, so this is the maximizer of
+    the average fidelity against Bob's reduced shares over every (nonce,
+    secret) pair, each share taken for the policy's target of that secret.
+    For a fixed-target policy that is the R(target) optimizer.  More
+    generally, when every target's maximizer is the same state (I/2 for
+    both builtin sets) the average keeps it, because an average of concave
+    objectives that share a maximizer is maximized there too.
     """
-    targets = {policy_target(policy, s, target_map) for s in SECRETS}
-    per_target = {}
-    for t in targets:
-        sigmas = [partial_trace_E(pure_density(share_state(psi, t))) for psi in nonce_set.states]
-        _, rho = analysis.max_average_fidelity(sigmas)
-        per_target[t] = rho
-    rhos = list(per_target.values())
-    if all(np.abs(r - rhos[0]).max() < 1e-6 for r in rhos):
-        return rhos[0]
     sigmas = [
-        partial_trace_E(pure_density(share_state(psi, policy_target(policy, s, target_map))))
-        for psi in nonce_set.states
+        sigma
         for s in SECRETS
+        for sigma in analysis.bob_reduced_shares(nonce_set, policy_target(policy, s, target_map))
     ]
     return analysis.max_average_fidelity(sigmas)[1]
 
@@ -371,10 +364,9 @@ def plan_overlaps(plan: AttackPlan, nonce_set: NonceSet,
                   target_map: dict | None = None) -> dict:
     """Achieved |<psi_{i,target}| (V x I) |alpha>|^2 per (nonce, secret)."""
     out = {}
-    for (i, s), v in sorted(plan.v_table.items()):
+    for i, s in sorted(plan.v_table):
         target = share_state(nonce_set.states[i], policy_target(plan.policy, s, target_map))
-        steered = np.kron(v, _EYE2) @ plan.alpha
-        out[(i, s)] = state_fidelity(target, steered)
+        out[(i, s)] = state_fidelity(target, plan.steered(i, s))
     return out
 
 
@@ -384,7 +376,5 @@ def average_recovery(plan: AttackPlan, nonce_set: NonceSet, s: str) -> float:
     k = len(nonce_set)
     total = 0.0
     for i, psi in enumerate(nonce_set.states):
-        target = share_state(psi, s)
-        steered = np.kron(plan.lookup(i, s), _EYE2) @ plan.alpha
-        total += state_fidelity(target, steered)
+        total += state_fidelity(share_state(psi, s), plan.steered(i, s))
     return total / k

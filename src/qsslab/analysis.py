@@ -314,7 +314,7 @@ def detection_bounds(nonce_set: NonceSet, mode_prior: float = 0.5) -> dict:
     plan policies.  Requires a recoverable nonce set.
     """
     from . import adversary
-    from .protocol import SECRET, outcome_distribution
+    from .protocol import RETIRED, outcome_distribution
 
     per_policy = {}
     success01 = 0.0
@@ -324,11 +324,8 @@ def detection_bounds(nonce_set: NonceSet, mode_prior: float = 0.5) -> dict:
         dist = outcome_distribution(nonce_set, strat, mode_prior=mode_prior)
         per_policy[policy] = dist.p_detect
         if policy == adversary.POLICY_TARGET_01 and mode_prior > 0.0:
-            mass = sum(
-                p for (mode, s, i, b), p in dist.table.items()
-                if mode == SECRET and b in ("01", "10")
-            )
-            success01 = mass / mode_prior
+            # RETIRED is exactly a SECRET-mode round that measured 01 or 10.
+            success01 = dist.verdict_probs[RETIRED] / mode_prior
     return {
         "floor": min(per_policy.values()),
         "ceiling": 1.0 - mode_prior * success01,

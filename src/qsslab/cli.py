@@ -25,17 +25,10 @@ import numpy as np
 
 from . import __version__, adversary, analysis
 from .errors import CertificationError, ValidationError
-from .jsonio import complex_from_json, read_json, write_json
+from .jsonio import complex_from_json, json_line, read_json, write_json
 from .linalg import validate_state
 from .nonces import NonceSet, resolve_nonce_source
-from .protocol import (
-    EAVESDROPPER_DETECTED,
-    RETIRED,
-    ROUND_DROPPED,
-    RoundConfig,
-    outcome_distribution,
-    run_rounds,
-)
+from .protocol import RoundConfig, detection_rate, outcome_distribution, tally_rounds
 
 EXIT_OK = 0
 EXIT_CERTIFICATION = 1
@@ -199,25 +192,19 @@ def cmd_simulate(args) -> int:
                        "p_eve_knows_secret": exact.p_eve_knows_secret})
     else:
         cfg = RoundConfig(nonce_set=nonce_set, rng_seed=seed, mode_prior=args.mode_prior)
-        counts = {RETIRED: 0, ROUND_DROPPED: 0, EAVESDROPPER_DETECTED: 0}
-        eve_hits = 0
-        sink = open(args.transcripts, "w", encoding="utf-8") if args.transcripts else None
-        try:
-            for t in run_rounds(cfg, strategy, args.rounds):
-                counts[t.verdict] += 1
-                if t.eve_learned_secret == t.s:
-                    eve_hits += 1
-                if sink is not None:
-                    sink.write(json.dumps(t.to_json_dict(), sort_keys=True) + "\n")
-        finally:
-            if sink is not None:
-                sink.close()
-        p = counts[EAVESDROPPER_DETECTED] / args.rounds
+        if args.transcripts:
+            with open(args.transcripts, "w", encoding="utf-8") as sink:
+                counts, eve_hits = tally_rounds(
+                    cfg, strategy, args.rounds,
+                    on_round=lambda t: sink.write(json_line(t.to_json_dict())))
+        else:
+            counts, eve_hits = tally_rounds(cfg, strategy, args.rounds)
+        p, stderr = detection_rate(counts)
         result.update({
             "rounds": args.rounds,
             "seed": seed,
             "p_detect": p,
-            "stderr": float(np.sqrt(p * (1.0 - p) / args.rounds)),
+            "stderr": stderr,
             "p_eve_knows_secret": eve_hits / args.rounds,
             "verdict_counts": counts,
         })

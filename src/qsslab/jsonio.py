@@ -50,6 +50,11 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def json_line(payload) -> str:
+    """One JSON-lines record: compact, sorted keys, newline-terminated."""
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
 def complex_to_json(arr) -> list:
     """Nested ``[re, im]`` pairs for a complex array of any shape."""
     a = np.asarray(arr, dtype=complex)

@@ -32,8 +32,6 @@ MINUS = np.array([1, -1], dtype=complex) * _S2
 PLUS_I = np.array([1, 1j], dtype=complex) * _S2
 MINUS_I = np.array([1, -1j], dtype=complex) * _S2
 
-SINGLE_QUBIT_STATES = {"+": PLUS, "-": MINUS, "+i": PLUS_I, "-i": MINUS_I}
-
 BUILTIN_NAMES = ("hsu-I", "proposed-J")
 
 

@@ -44,6 +44,10 @@ ROUND_DROPPED = "ROUND_DROPPED"
 EAVESDROPPER_DETECTED = "EAVESDROPPER_DETECTED"
 VERDICTS = (RETIRED, ROUND_DROPPED, EAVESDROPPER_DETECTED)
 
+# Stage I: the strings s each mode draws from.  In SECRET mode the dealer's
+# secret bit indexes the pair; in DETECT mode s is drawn uniformly from it.
+MODE_SECRETS = {SECRET: ("01", "10"), DETECT: ("00", "11")}
+
 _STATE_NORM_TOL = 1e-6
 
 
@@ -56,7 +60,7 @@ def stage_iv_verdict(mode: str, s: str, b: str) -> tuple[str, int | None]:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     validate_secret(s)
     validate_secret(b)
-    if b in ("01", "10"):
+    if b in MODE_SECRETS[SECRET]:
         if mode == SECRET:
             return RETIRED, int(b[0])
         # DETECT mode: the parties retired silently, the dealer expected an
@@ -120,12 +124,10 @@ class RoundTranscript:
 
 
 def _draw_secret(cfg: RoundConfig, mode: str, rng: np.random.Generator) -> str:
-    if mode == SECRET:
-        bit = cfg.secret_bit
-        if bit is None:
-            bit = int(rng.integers(0, 2))
-        return "01" if bit == 0 else "10"
-    return "00" if int(rng.integers(0, 2)) == 0 else "11"
+    bit = cfg.secret_bit if mode == SECRET else None
+    if bit is None:
+        bit = int(rng.integers(0, 2))
+    return MODE_SECRETS[mode][bit]
 
 
 def run_round(cfg: RoundConfig, strategy, round_index: int = 0) -> RoundTranscript:
@@ -182,17 +184,37 @@ def run_rounds(cfg: RoundConfig, strategy, rounds: int):
         yield run_round(cfg, strategy, round_index=r)
 
 
+def tally_rounds(cfg: RoundConfig, strategy, rounds: int,
+                 on_round=None) -> tuple[dict, int]:
+    """Run rounds 0..rounds-1 and count their verdicts.
+
+    Returns ``(verdict_counts, eve_hits)``: rounds per verdict, and rounds in
+    which Eve's learned secret equals the dealer's s.  ``on_round``, when
+    given, receives each transcript as soon as its round has run.
+    """
+    counts = {v: 0 for v in VERDICTS}
+    eve_hits = 0
+    for t in run_rounds(cfg, strategy, rounds):
+        counts[t.verdict] += 1
+        if t.eve_learned_secret == t.s:
+            eve_hits += 1
+        if on_round is not None:
+            on_round(t)
+    return counts, eve_hits
+
+
+def detection_rate(verdict_counts: dict) -> tuple[float, float]:
+    """Detected share of the counted rounds and its binomial standard error."""
+    rounds = sum(verdict_counts.values())
+    p = verdict_counts[EAVESDROPPER_DETECTED] / rounds
+    return p, float(np.sqrt(p * (1.0 - p) / rounds))
+
+
 def estimate_detection(cfg: RoundConfig, strategy, rounds: int) -> tuple[float, float]:
     """Monte Carlo detection probability and its binomial standard error."""
     if rounds < 1:
         raise ValidationError("rounds must be >= 1")
-    hits = 0
-    for t in run_rounds(cfg, strategy, rounds):
-        if t.verdict == EAVESDROPPER_DETECTED:
-            hits += 1
-    p = hits / rounds
-    stderr = float(np.sqrt(p * (1.0 - p) / rounds))
-    return p, stderr
+    return detection_rate(tally_rounds(cfg, strategy, rounds)[0])
 
 
 @dataclass
@@ -231,14 +253,12 @@ def outcome_distribution(nonce_set: NonceSet, strategy, mode_prior: float = 0.5)
         raise ValidationError(f"mode_prior must be in [0, 1], got {mode_prior}")
     k = len(nonce_set)
     table: dict = {}
-    p_detect = 0.0
     p_eve = 0.0
     verdict_probs = {v: 0.0 for v in VERDICTS}
     for mode, p_mode in ((SECRET, mode_prior), (DETECT, 1.0 - mode_prior)):
         if p_mode == 0.0:
             continue
-        secrets = ("01", "10") if mode == SECRET else ("00", "11")
-        for s in secrets:
+        for s in MODE_SECRETS[mode]:
             for i in range(k):
                 base = p_mode * 0.5 / k
                 for p_branch, joint, learned in strategy.exact_branches(nonce_set, i, s):
@@ -255,13 +275,10 @@ def outcome_distribution(nonce_set: NonceSet, strategy, mode_prior: float = 0.5)
                         w = base * p_branch * float(pb)
                         key = (mode, s, i + 1, b)
                         table[key] = table.get(key, 0.0) + w
-                        verdict = stage_iv_verdict(mode, s, b)[0]
-                        verdict_probs[verdict] += w
-                        if verdict == EAVESDROPPER_DETECTED:
-                            p_detect += w
+                        verdict_probs[stage_iv_verdict(mode, s, b)[0]] += w
     return ExactDistribution(
         table=table,
-        p_detect=p_detect,
+        p_detect=verdict_probs[EAVESDROPPER_DETECTED],
         p_eve_knows_secret=p_eve,
         verdict_probs=verdict_probs,
     )

@@ -15,7 +15,14 @@ from qsslab.adversary import (
 )
 from qsslab.analysis import r_of_s
 from qsslab.errors import CertificationError, PlanIncompleteError, ValidationError
-from qsslab.linalg import TOL, haar_state, haar_unitaries, state_fidelity
+from qsslab.linalg import (
+    TOL,
+    haar_state,
+    haar_unitaries,
+    partial_trace_E,
+    pure_density,
+    state_fidelity,
+)
 from qsslab.nonces import NonceSet, SECRETS, builtin_nonce_set, share_state
 from qsslab.protocol import RoundConfig, outcome_distribution, run_round, run_rounds
 
@@ -80,6 +87,39 @@ class TestSynthesis:
         target = share_state(proposed_set.states[0], "10")
         steered = np.kron(plan.v_table[(0, "00")], EYE2) @ plan.alpha
         assert state_fidelity(steered, target) == pytest.approx(0.5, abs=TOL)
+
+    @staticmethod
+    def _phase_sets(n):
+        """Seeded 1/2 e^{i phi} sets on which the per-target R(s) optimizers
+        coincide for every policy below: each nonce comes with its copy
+        under Z on Bob's qubit.  Z commutes with every U_s and negates x and
+        y of each share's Bob-side Bloch vector, whose z is 0 on these sets,
+        so each target's optimizer is I/2."""
+        for seed in range(n):
+            rng = np.random.default_rng(900 + seed)
+            half = [0.5 * np.exp(1j * p) for p in rng.uniform(0, 2 * np.pi, (1 + seed % 8, 4))]
+            yield NonceSet(name=f"phase-{seed}",
+                           states=tuple(half) + tuple(psi * [1, -1, 1, -1] for psi in half))
+
+    def test_alpha_marginal_is_common_r_of_s_optimizer(self, hsu_set, proposed_set):
+        """Where every target's R(s) optimizer is the same state, the committed
+        alpha purifies it.  target-01 has one target, so it is checked on the
+        raw (unpaired) random sets as well."""
+        cases = [(ns, pol) for ns in (hsu_set, proposed_set, *self._phase_sets(50))
+                 for pol in ("target-secret", "target-01")]
+        for seed in range(50):
+            rng = np.random.default_rng(1900 + seed)
+            phases = rng.uniform(0, 2 * np.pi, (1 + seed % 16, 4))
+            cases.append((NonceSet(name=f"raw-{seed}",
+                                   states=tuple(0.5 * np.exp(1j * p) for p in phases)),
+                          "target-01"))
+        for ns, policy in cases:
+            optimizers = [r_of_s(ns, policy_target(policy, s))[1] for s in SECRETS]
+            for rho in optimizers[1:]:
+                assert np.abs(rho - optimizers[0]).max() <= 1e-12, ns.name
+            alpha = synthesize_plan(ns, policy).alpha
+            marginal = partial_trace_E(pure_density(alpha))
+            assert np.abs(marginal - optimizers[0]).max() <= 1e-12, (ns.name, policy)
 
     def test_custom_policy_requires_map(self):
         with pytest.raises(ValidationError):

@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from qsslab.adversary import honest_strategy, ifr_strategy, imr_guess_strategy, load_plan
 from qsslab.cli import main
 from qsslab.nonces import builtin_nonce_set
+from qsslab.protocol import RoundConfig, estimate_detection
 
 
 @pytest.fixture(autouse=True)
@@ -175,6 +177,28 @@ class TestSimulateCommand:
         assert run(args + ["--out", str(out1)]) == 0
         assert run(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("selector", ["honest", "imr-guess", "ifr"])
+    def test_monte_carlo_matches_estimate_detection(self, tmp_path, selector):
+        """The command and the library run the same rounds: equal bits."""
+        ns = builtin_nonce_set("proposed-J")
+        if selector == "ifr":
+            plan = tmp_path / "plan.json"
+            assert run(["attack", "--nonces", "builtin:proposed-J",
+                        "--policy", "target-secret", "--out", str(plan)]) == 0
+            strategy, selector = ifr_strategy(load_plan(plan), ns), f"ifr:{plan}"
+        elif selector == "honest":
+            strategy = honest_strategy()
+        else:
+            strategy = imr_guess_strategy("uniform-random", ns)
+        out = tmp_path / "sim.json"
+        assert run(["simulate", "--nonces", "builtin:proposed-J", "--strategy", selector,
+                    "--rounds", "2000", "--seed", "19", "--out", str(out)]) == 0
+        sim = json.loads(out.read_text())["simulation"]
+        p, stderr = estimate_detection(RoundConfig(nonce_set=ns, rng_seed=19), strategy, 2000)
+        assert (sim["p_detect"], sim["stderr"]) == (p, stderr)
+        assert sum(sim["verdict_counts"].values()) == 2000
+        assert sim["verdict_counts"]["EAVESDROPPER_DETECTED"] == round(p * 2000)
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QSSLAB_SEED", "77")
