@@ -39,14 +39,15 @@ POLICY_TARGET_01 = "target-01"
 POLICY_CUSTOM = "custom"
 POLICIES = (POLICY_TARGET_SECRET, POLICY_TARGET_01, POLICY_CUSTOM)
 
-_EYE2 = np.eye(2, dtype=complex)
 
+def _recovery_outcomes(reflections: np.ndarray, share: np.ndarray) -> list:
+    """Measure ``share`` after each reflection of the ``(rows, 4, 4)`` stack.
 
-def _recovery_branches(nonce_set: NonceSet, j: int, share: np.ndarray) -> list:
-    """``(probability, s')`` for each outcome of measuring ``share`` after the
-    reflection about nonce j; outcomes of probability <= 1e-30 are dropped."""
-    probs = np.abs(nonce_set.reflections[j] @ share) ** 2
-    return [(float(p), SECRETS[idx]) for idx, p in enumerate(probs) if p > 1e-30]
+    Returns ``(probability, row, outcome index)`` for every outcome of
+    probability above 1e-30; the rest are dropped.
+    """
+    probs = (np.abs(reflections @ share) ** 2).tolist()
+    return [(p, row, b) for row, ps in enumerate(probs) for b, p in enumerate(ps) if p > 1e-30]
 
 
 def _check_same_set(bound: NonceSet | None, given: NonceSet) -> None:
@@ -136,16 +137,14 @@ class ImrGuessStrategy:
     def exact_branches(self, nonce_set, i, s):
         self._bind(nonce_set)
         share = share_state(nonce_set.states[i], s)
-        guesses = (
-            [(1.0, self.guess)]
-            if self.guess != "uniform-random"
-            else [(1.0 / len(nonce_set), j) for j in range(len(nonce_set))]
-        )
-        return [
-            (pj * p, share_state(nonce_set.states[j], s_prime), s_prime)
-            for pj, j in guesses
-            for p, s_prime in _recovery_branches(nonce_set, j, share)
-        ]
+        if self.guess == "uniform-random":
+            first, stop = 0, len(nonce_set)
+        else:
+            first, stop = int(self.guess), int(self.guess) + 1
+        p_guess = 1.0 / (stop - first)
+        resent = nonce_set.share_stack()
+        return [(p_guess * p, resent[first + row, b], SECRETS[b])
+                for p, row, b in _recovery_outcomes(nonce_set.reflections[first:stop], share)]
 
 
 @dataclass(eq=False)
@@ -165,12 +164,16 @@ class AttackPlan:
         self.alpha = validate_state(self.alpha, dim=4, what="alpha")
         if self.policy not in POLICIES:
             raise ValidationError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        checked = {}
-        for key, v in self.v_table.items():
-            i, s = key
-            validate_secret(s)
-            checked[(int(i), s)] = validate_unitary(v, dim=2)
-        self.v_table = checked
+        keys = [(int(i), validate_secret(s)) for i, s in self.v_table]
+        try:
+            stack = np.array(list(self.v_table.values()), dtype=complex)
+        except (TypeError, ValueError):
+            stack = None
+        if keys and (stack is None or stack.shape != (len(keys), 2, 2)):
+            raise ValidationError("every v_table entry must be a 2x2 matrix")
+        stack = validate_unitary(stack.reshape(-1, 2, 2), dim=2,
+                                 names=[f"v_table entry {i + 1},{s}" for i, s in keys])
+        self.v_table = dict(zip(keys, stack))
 
     def lookup(self, i: int, s: str) -> np.ndarray:
         try:
@@ -182,7 +185,7 @@ class AttackPlan:
 
     def steered(self, i: int, s: str) -> np.ndarray:
         """``(V x I)|alpha>`` with V the unitary for nonce i and learned secret s."""
-        return np.kron(self.lookup(i, s), _EYE2) @ self.alpha
+        return (self.lookup(i, s) @ self.alpha.reshape(2, 2)).reshape(4)
 
     def validate_for(self, nonce_set: NonceSet) -> None:
         missing = [
@@ -279,10 +282,8 @@ class IfrStrategy:
     def exact_branches(self, nonce_set, i, s):
         _check_same_set(self._nonce_set, nonce_set)
         share = share_state(nonce_set.states[i], s)
-        return [
-            (p, self.plan.steered(i, s_prime), s_prime)
-            for p, s_prime in _recovery_branches(nonce_set, i, share)
-        ]
+        return [(p, self.plan.steered(i, SECRETS[b]), SECRETS[b])
+                for p, _, b in _recovery_outcomes(nonce_set.reflections[i:i + 1], share)]
 
 
 def honest_strategy() -> HonestStrategy:
@@ -322,11 +323,10 @@ def _optimizer_state(nonce_set: NonceSet, policy: str, target_map: dict | None) 
     both builtin sets) the average keeps it, because an average of concave
     objectives that share a maximizer is maximized there too.
     """
-    sigmas = [
-        sigma
+    sigmas = np.concatenate([
+        analysis.bob_reduced_shares(nonce_set, policy_target(policy, s, target_map))
         for s in SECRETS
-        for sigma in analysis.bob_reduced_shares(nonce_set, policy_target(policy, s, target_map))
-    ]
+    ])
     return analysis.max_average_fidelity(sigmas)[1]
 
 
@@ -351,12 +351,9 @@ def synthesize_plan(nonce_set: NonceSet, policy: str,
         alpha = canonical_purification(_optimizer_state(nonce_set, policy, target_map))
     else:
         alpha = validate_state(alpha, dim=4, what="alpha")
-    v_table = {}
-    for i, psi in enumerate(nonce_set.states):
-        for s in SECRETS:
-            target = share_state(psi, policy_target(policy, s, target_map))
-            v, _ = max_overlap_unitary(alpha, target)
-            v_table[(i, s)] = v
+    targets = [SECRETS.index(policy_target(policy, s, target_map)) for s in SECRETS]
+    v, _ = max_overlap_unitary(alpha, nonce_set.share_stack()[:, targets])
+    v_table = {(i, s): v[i, n] for i in range(len(nonce_set)) for n, s in enumerate(SECRETS)}
     return AttackPlan(alpha=alpha, v_table=v_table, policy=policy)
 
 

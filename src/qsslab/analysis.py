@@ -26,8 +26,7 @@ from .linalg import (
     density_from_bloch,
     fidelity,
     is_pure,
-    partial_trace_E,
-    pure_density,
+    partial_trace_E,  # noqa: F401 -- benchmarks/traced.py wraps analysis.partial_trace_E
     validate_state,
 )
 from .nonces import (
@@ -39,7 +38,8 @@ from .nonces import (
     SECRETS,
     basis_state,
     reflection,
-    share_state,
+    share_state,  # noqa: F401 -- benchmarks/traced.py wraps analysis.share_state
+    validate_secret,
 )
 
 _GRID_STEP = 0.1
@@ -81,24 +81,27 @@ def check_recoverability(nonce_set: NonceSet, secrets=None, tol: float = TOL) ->
     """
     if secrets is None:
         secrets = SECRETS
-    pairs = []
-    worst_overlap = 0.0
-    worst_recovery = 0.0
-    for label_secret in secrets:
-        label, s_vec = _secret_state(label_secret)
-        u_s = reflection(s_vec)
-        for i, psi in enumerate(nonce_set.states):
-            overlap = float(abs(np.vdot(s_vec, psi)))
-            recovered = reflection(psi) @ (u_s @ psi)
-            prob = float(abs(np.vdot(s_vec, recovered)) ** 2)
-            pairs.append(PairOverlap(i + 1, label, overlap, prob))
-            worst_overlap = max(worst_overlap, abs(overlap - 0.5))
-            worst_recovery = max(worst_recovery, abs(prob - 1.0))
+    labelled = [_secret_state(s) for s in secrets]
+    s_vecs = np.array([vec for _, vec in labelled]).reshape(-1, 4)     # (m, 4)
+    states = np.array(nonce_set.states)                                 # (k, 4)
+    # Moduli by hypot, which rounds like the scalar abs; numpy's vectorized
+    # complex abs can differ in the last bit.
+    amp = s_vecs.conj() @ states.T                                      # (m, k)
+    overlaps = np.hypot(amp.real, amp.imag)
+    shares = reflection(s_vecs)[:, None] @ states[:, :, None]           # (m, k, 4, 1)
+    recovered = (s_vecs.conj()[:, None, None, :] @ (nonce_set.reflections @ shares))[..., 0, 0]
+    probs = np.hypot(recovered.real, recovered.imag) ** 2
+    pairs = [
+        PairOverlap(i + 1, label, overlap, prob)
+        for (label, _), row_o, row_p in zip(labelled, overlaps.tolist(), probs.tolist())
+        for i, (overlap, prob) in enumerate(zip(row_o, row_p))
+    ]
+    worst_overlap = float(np.abs(overlaps - 0.5).max(initial=0.0))
     return RecoverabilityReport(
         pairs=pairs,
         passed=bool(worst_overlap < tol),
         worst_overlap_deviation=worst_overlap,
-        worst_recovery_deviation=worst_recovery,
+        worst_recovery_deviation=float(np.abs(probs - 1.0).max(initial=0.0)),
     )
 
 
@@ -117,8 +120,14 @@ def recovery_amplitude(overlap_sq: float) -> float:
 # ---------------------------------------------------------------------------
 # Secrecy and intercept-measure-resend protection
 
-def _max_norm(delta: np.ndarray) -> float:
-    return float(np.abs(delta).max())
+def _share_densities(nonce_set: NonceSet) -> np.ndarray:
+    """|psi_{i,s}><psi_{i,s}| for every share state: shape (k, 4, 4, 4)."""
+    shares = nonce_set.share_stack()
+    return shares[..., :, None] * shares[..., None, :].conj()
+
+
+def _max_norm(delta: np.ndarray) -> np.ndarray:
+    return np.abs(delta).max(axis=(-2, -1))
 
 
 def check_secrecy(nonce_set: NonceSet) -> dict:
@@ -126,40 +135,29 @@ def check_secrecy(nonce_set: NonceSet) -> dict:
 
     Keys are 1-based nonce indices.
     """
-    eye4 = np.eye(4, dtype=complex) / 4.0
-    out = {}
-    for i, psi in enumerate(nonce_set.states):
-        avg = sum(pure_density(share_state(psi, s)) for s in SECRETS) / 4.0
-        out[i + 1] = _max_norm(avg - eye4)
-    return out
+    avg = _share_densities(nonce_set).sum(axis=1) / 4.0
+    devs = _max_norm(avg - np.eye(4, dtype=complex) / 4.0)
+    return {i + 1: float(dev) for i, dev in enumerate(devs)}
 
 
 def check_imr(nonce_set: NonceSet) -> float:
     """Max-norm deviation of the grand share average from I/4."""
-    eye4 = np.eye(4, dtype=complex) / 4.0
-    k = len(nonce_set)
-    avg = sum(
-        pure_density(share_state(psi, s))
-        for psi in nonce_set.states
-        for s in SECRETS
-    ) / (4.0 * k)
-    return _max_norm(avg - eye4)
+    avg = _share_densities(nonce_set).reshape(-1, 4, 4).sum(axis=0) / (4.0 * len(nonce_set))
+    return float(_max_norm(avg - np.eye(4, dtype=complex) / 4.0))
 
 
 # ---------------------------------------------------------------------------
 # R(s): the optimal average fidelity of a single-qubit fake share
 
 def _objective_coeffs(sigmas) -> tuple[np.ndarray, float]:
-    """Average qubit fidelity against ``sigmas`` at Bloch point p reads
-    1/2 + (p . b_mean)/2 + c_mean * sqrt(1 - |p|^2).
+    """Average qubit fidelity against the stack ``sigmas`` at Bloch point p
+    reads 1/2 + (p . b_mean)/2 + c_mean * sqrt(1 - |p|^2).
 
     A pure sigma contributes exactly 0 to c_mean; its float-noise
     determinant would otherwise add about 3e-9 per state."""
-    blochs = np.array([bloch_from_density(s) for s in sigmas])
-    dets = np.array([
-        0.0 if is_pure(s) else max(np.linalg.det(s).real, 0.0) for s in sigmas
-    ])
-    return blochs.mean(axis=0), float(np.sqrt(dets).mean())
+    sigmas = np.asarray(sigmas, dtype=complex)
+    dets = np.where(is_pure(sigmas), 0.0, np.maximum(np.linalg.det(sigmas).real, 0.0))
+    return bloch_from_density(sigmas).mean(axis=0), float(np.sqrt(dets).mean())
 
 
 def _objective_at(points: np.ndarray, b_mean: np.ndarray, c_mean: float) -> np.ndarray:
@@ -228,15 +226,15 @@ def max_average_fidelity(sigmas, method: str = "auto") -> tuple[float, np.ndarra
     ``grid`` maximizes numerically (coarse lattice plus pattern search)
     and serves as an independent oracle for the closed form.
     """
-    sigmas = [np.asarray(s, dtype=complex) for s in sigmas]
-    if not sigmas:
+    if len(sigmas) == 0:
         raise ValidationError("need at least one state")
+    sigmas = np.asarray(sigmas, dtype=complex)
     if method not in ("auto", "fast", "grid"):
         raise ValidationError(f"unknown method {method!r}")
     if method == "grid":
         value, p = _grid_maximize(sigmas)
         return value, density_from_bloch(p)
-    if method == "fast" and not all(is_pure(s) for s in sigmas):
+    if method == "fast" and not is_pure(sigmas).all():
         raise ValidationError("fast path requires pure states")
     b_mean, c_mean = _objective_coeffs(sigmas)
     radius = float(np.sqrt(b_mean @ b_mean + 4.0 * c_mean * c_mean))
@@ -247,12 +245,12 @@ def max_average_fidelity(sigmas, method: str = "auto") -> tuple[float, np.ndarra
     return value, density_from_bloch(b_mean / radius)
 
 
-def bob_reduced_shares(nonce_set: NonceSet, s: str) -> list:
-    """Bob-side reduced density matrices of every share state for secret s."""
-    return [
-        partial_trace_E(pure_density(share_state(psi, s)))
-        for psi in nonce_set.states
-    ]
+def bob_reduced_shares(nonce_set: NonceSet, s: str) -> np.ndarray:
+    """Bob-side reduced density matrices of every share state for secret s:
+    shape (k, 2, 2), Eve's qubit traced out."""
+    shares = nonce_set.share_stack()[:, SECRETS.index(validate_secret(s))]
+    dens = shares[:, :, None] * shares[:, None, :].conj()
+    return dens[:, :2, :2] + dens[:, 2:, 2:]
 
 
 def r_of_s(nonce_set: NonceSet, s: str, method: str = "auto") -> tuple[float, np.ndarray]:
@@ -291,15 +289,14 @@ def bloch_mean_distance_bound(states) -> float:
 
 
 def _pure_blochs(states) -> np.ndarray:
-    mats = [np.asarray(s, dtype=complex) for s in states]
-    if not mats:
+    if len(states) == 0:
         raise ValidationError("need at least one state")
-    for s in mats:
-        if s.shape != (2, 2):
-            raise ValidationError("expected single-qubit density matrices")
-        if not is_pure(s):
-            raise ValidationError("bloch_mean_bound requires pure states")
-    return np.array([bloch_from_density(s) for s in mats])
+    mats = np.asarray(states, dtype=complex)
+    if mats.shape[1:] != (2, 2):
+        raise ValidationError("expected single-qubit density matrices")
+    if not is_pure(mats).all():
+        raise ValidationError("bloch_mean_bound requires pure states")
+    return bloch_from_density(mats)
 
 
 # ---------------------------------------------------------------------------

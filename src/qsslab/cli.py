@@ -17,6 +17,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -71,6 +72,17 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
     return parse
+
+
+def _positive_float(raw: str) -> float:
+    """argparse type: a finite float > 0."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {raw!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {raw}")
+    return value
 
 
 def build_manifest(command: str, nonce_source: str, seed: int,
@@ -307,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="certify a nonce set (recoverability, secrecy, IMR)")
     p.add_argument("--nonces", required=True,
                    help="builtin:<hsu-I|proposed-J> or a nonce-set JSON path")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.add_argument("--out", help="write the JSON report here (plus a .txt table)")
     p.set_defaults(func=cmd_certify)
 

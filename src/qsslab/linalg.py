@@ -42,18 +42,31 @@ def validate_state(v, *, dim: int | None = None, tol: float = 1e-6,
     return arr / norm
 
 
-def validate_unitary(u, *, dim: int | None = None, tol: float = 1e-6) -> np.ndarray:
+def validate_unitary(u, *, dim: int | None = None, tol: float = 1e-6,
+                     names=None) -> np.ndarray:
+    """Check a unitary, or a stack of unitaries along the leading axes.
+
+    A failure in a stack names its first bad matrix: ``names[j]`` for the
+    j-th matrix in row-major order when given, else ``matrix j``.
+    """
     mat = np.asarray(u, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValidationError("unitary must be square")
-    if dim is not None and mat.shape[0] != dim:
-        raise ValidationError(f"unitary must be {dim}x{dim}, got {mat.shape[0]}x{mat.shape[1]}")
+    if dim is not None and mat.shape[-1] != dim:
+        raise ValidationError(f"unitary must be {dim}x{dim}, got {mat.shape[-2]}x{mat.shape[-1]}")
     # Entries of a unitary have modulus <= 1; this also rejects NaN and Inf,
     # and keeps the product below from overflowing.
-    if not np.abs(mat).max() <= 1.0 + tol:
-        raise ValidationError("unitary has non-finite entries or entries above 1 in modulus")
-    if np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max() > tol:
-        raise ValidationError("matrix is not unitary")
+    bad_entries = ~(np.abs(mat).max(axis=(-2, -1), initial=0.0) <= 1.0 + tol)
+    safe = np.where(bad_entries[..., None, None], 0.0, mat)
+    gram = np.einsum("...ji,...jk->...ik", safe.conj(), safe) - np.eye(mat.shape[-1])
+    bad = bad_entries | (np.abs(gram).max(axis=(-2, -1), initial=0.0) > tol)
+    if bad.any():
+        j = int(np.argmax(bad.reshape(-1)))
+        reason = ("unitary has non-finite entries or entries above 1 in modulus"
+                  if bad_entries.reshape(-1)[j] else "matrix is not unitary")
+        if mat.ndim > 2:
+            reason = f"{names[j] if names is not None else f'matrix {j}'}: {reason}"
+        raise ValidationError(reason)
     return mat
 
 
@@ -86,9 +99,10 @@ def bob_marginal(state) -> np.ndarray:
     return a.T @ a.conj()
 
 
-def is_pure(rho, tol: float = TOL) -> bool:
+def is_pure(rho, tol: float = TOL):
+    """``|Tr rho^2 - 1| <= tol``; elementwise over leading axes of a stack."""
     rho = np.asarray(rho, dtype=complex)
-    return abs(np.trace(rho @ rho).real - 1.0) <= tol
+    return np.abs(np.einsum("...ab,...ba->...", rho, rho).real - 1.0) <= tol
 
 
 def state_fidelity(a, b) -> float:
@@ -135,15 +149,22 @@ def fidelity(rho, sigma) -> float:
 
 
 def bloch_from_density(rho) -> np.ndarray:
-    """Bloch vector (x, y, z) of a single-qubit density matrix."""
+    """Bloch vector (x, y, z) = Tr(rho X), Tr(rho Y), Tr(rho Z) of a
+    single-qubit density matrix; a stack gives one vector per matrix.
+
+    The traces are written out entrywise: (rho01 + rho10, i(rho01 - rho10),
+    rho00 - rho11), the same floating-point sums as the matrix products;
+    adding 0.0 turns an exact -0 into +0, as the products do.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
+    if rho.shape[-2:] != (2, 2):
         raise ValidationError("bloch_from_density expects a 2x2 density matrix")
-    return np.array([
-        np.trace(rho @ PAULI_X).real,
-        np.trace(rho @ PAULI_Y).real,
-        np.trace(rho @ PAULI_Z).real,
-    ])
+    r01, r10 = rho[..., 0, 1], rho[..., 1, 0]
+    return np.stack([
+        r01.real + r10.real,
+        -r01.imag + r10.imag,
+        rho[..., 0, 0].real - rho[..., 1, 1].real,
+    ], axis=-1) + 0.0
 
 
 def density_from_bloch(v) -> np.ndarray:
@@ -155,13 +176,21 @@ def density_from_bloch(v) -> np.ndarray:
                   + v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z)
 
 
-def svd_2x2(m) -> tuple[np.ndarray, tuple[float, float], np.ndarray]:
-    """SVD of a 2x2 complex matrix: m = U diag(s) W^dagger, s descending."""
+def svd_2x2(m):
+    """SVD of a 2x2 complex matrix: m = U diag(s) W^dagger, s descending.
+
+    A single matrix gives ``(U, (s0, s1), W)`` with float singular values;
+    a stack along leading axes gives ``(U, s, W)`` with ``s`` of shape
+    ``(..., 2)``.
+    """
     m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
+    if m.shape[-2:] != (2, 2):
         raise ValidationError("svd_2x2 expects a 2x2 matrix")
     u, s, wh = np.linalg.svd(m)
-    return u, (float(s[0]), float(s[1])), wh.conj().T
+    w = wh.conj().swapaxes(-1, -2)
+    if m.ndim == 2:
+        return u, (float(s[0]), float(s[1])), w
+    return u, s, w
 
 
 def sqrtm_psd(rho) -> np.ndarray:
@@ -185,7 +214,7 @@ def canonical_purification(rho_b) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def max_overlap_unitary(alpha, target) -> tuple[np.ndarray, float]:
+def max_overlap_unitary(alpha, target):
     """Best Eve-side unitary steering `alpha` toward `target`.
 
     Maximizes |<target| (V x I) |alpha>|^2 over single-qubit unitaries V
@@ -194,12 +223,21 @@ def max_overlap_unitary(alpha, target) -> tuple[np.ndarray, float]:
     overlap is Tr(V A B^dagger), maximized by V = W U^dagger from the SVD
     of A B^dagger; the optimum equals (s1 + s2)^2, which by Uhlmann's
     theorem is the fidelity of the Bob-side reduced states.
+
+    ``alpha`` and ``target`` broadcast over leading axes: two single states
+    give ``(V, float)``, stacks give ``(V of shape (..., 2, 2), values)``.
     """
-    a = np.asarray(alpha, dtype=complex).reshape(2, 2)
-    b = np.asarray(target, dtype=complex).reshape(2, 2)
-    u, (s0, s1), w = svd_2x2(a @ b.conj().T)
-    v = w @ u.conj().T
-    return v, float((s0 + s1) ** 2)
+    alpha = np.asarray(alpha, dtype=complex)
+    target = np.asarray(target, dtype=complex)
+    a = alpha.reshape(alpha.shape[:-1] + (2, 2))
+    b = target.reshape(target.shape[:-1] + (2, 2))
+    u, s, w = svd_2x2(a @ b.conj().swapaxes(-1, -2))
+    v = w @ u.conj().swapaxes(-1, -2)
+    if isinstance(s, tuple):
+        return v, float((s[0] + s[1]) ** 2)
+    # float_power rounds like the scalar path's C pow; a numpy square (x * x)
+    # differs from it in the last bit for about 1 value in 1000.
+    return v, np.float_power(s[..., 0] + s[..., 1], 2.0)
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -34,6 +34,8 @@ MINUS_I = np.array([1, -1j], dtype=complex) * _S2
 
 BUILTIN_NAMES = ("hsu-I", "proposed-J")
 
+_DIAG = np.arange(4)
+
 
 def sample_outcome(state: np.ndarray, rng) -> str:
     """Measure a two-qubit state in the computational basis.
@@ -86,9 +88,20 @@ class NonceSet:
         return len(self.states)
 
     @cached_property
-    def reflections(self) -> tuple:
-        """Cached reflection operators U_psi, one per nonce."""
-        return tuple(reflection(v) for v in self.states)
+    def reflections(self) -> np.ndarray:
+        """Cached reflection operators U_psi, one per nonce: shape (k, 4, 4)."""
+        return reflection(np.array(self.states))
+
+    def share_stack(self) -> np.ndarray:
+        """Every share state at once: ``[i, n]`` is U_s|psi_i> for s = SECRETS[n].
+
+        Shape (k, 4, 4); built per call, not cached.  Negating the diagonal
+        in place matches ``share_state`` bit for bit, signed zeros included,
+        which multiplying by a sign matrix would not.
+        """
+        stack = np.repeat(np.array(self.states)[:, None, :], 4, axis=1)
+        stack[:, _DIAG, _DIAG] *= -1.0
+        return stack
 
     def to_json_dict(self) -> dict:
         return {
@@ -101,10 +114,10 @@ def reflection(about) -> np.ndarray:
     """Grover reflection I - 2|v><v| about a normalized state.
 
     Hermitian, involutory, determinant -1: it negates |v> and fixes the
-    orthogonal complement.
+    orthogonal complement.  A stack of states gives a stack of reflections.
     """
     v = np.asarray(about, dtype=complex)
-    return np.eye(v.shape[0], dtype=complex) - 2.0 * np.outer(v, v.conj())
+    return np.eye(v.shape[-1], dtype=complex) - 2.0 * (v[..., :, None] * v[..., None, :].conj())
 
 
 def share_state(nonce, s: str) -> np.ndarray:

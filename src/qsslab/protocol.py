@@ -240,6 +240,14 @@ class ExactDistribution:
         return {m: (out[m] / mass[m] if mass[m] > 0 else 0.0) for m in MODES}
 
 
+# Stage IV verdict of every (mode, s, b) as an index into VERDICTS, axes
+# ordered as MODES, SECRETS, SECRETS.
+_VERDICT_INDEX = np.array([
+    [[VERDICTS.index(stage_iv_verdict(mode, s, b)[0]) for b in SECRETS] for s in SECRETS]
+    for mode in MODES
+])
+
+
 def outcome_distribution(nonce_set: NonceSet, strategy, mode_prior: float = 0.5) -> ExactDistribution:
     """Exact verdict statistics by enumerating every discrete draw.
 
@@ -248,34 +256,52 @@ def outcome_distribution(nonce_set: NonceSet, strategy, mode_prior: float = 0.5)
     triples; all strategies in this package do.  Within SECRET mode the
     dealer's secret bit is averaged uniformly, matching a RoundConfig with
     ``secret_bit=None``.
+
+    Each (mode, s, nonce) draw maps its branches to a (branch, b) block of
+    probability mass with one matmul.  The block's column sums fill one row
+    of a (mode, s, nonce, b) grid, from which the table is read, and
+    ``np.add.at`` adds it to the verdict masses through ``_VERDICT_INDEX``
+    in the order of a scalar branch-by-outcome loop, so sums round alike.
     """
     if not 0.0 <= mode_prior <= 1.0:
         raise ValidationError(f"mode_prior must be in [0, 1], got {mode_prior}")
     k = len(nonce_set)
-    table: dict = {}
+    grid = np.zeros((len(MODES), len(SECRETS), k, len(SECRETS)))
+    masses = np.zeros(len(VERDICTS))
     p_eve = 0.0
-    verdict_probs = {v: 0.0 for v in VERDICTS}
-    for mode, p_mode in ((SECRET, mode_prior), (DETECT, 1.0 - mode_prior)):
+    for m, (mode, p_mode) in enumerate(((SECRET, mode_prior), (DETECT, 1.0 - mode_prior))):
         if p_mode == 0.0:
             continue
+        base = p_mode * 0.5 / k
         for s in MODE_SECRETS[mode]:
+            row = grid[m, SECRETS.index(s)]
+            # Verdict index of each (branch, b) cell; a broadcast view, sliced
+            # per draw and widened if a strategy returns more branches.
+            verdicts = np.broadcast_to(_VERDICT_INDEX[m, SECRETS.index(s)], (4 * k, 4))
             for i in range(k):
-                base = p_mode * 0.5 / k
-                for p_branch, joint, learned in strategy.exact_branches(nonce_set, i, s):
-                    if p_branch <= 0.0:
-                        continue
-                    out = nonce_set.reflections[i] @ np.asarray(joint, dtype=complex)
-                    probs = np.abs(out) ** 2
-                    if learned == s:
-                        p_eve += base * p_branch
-                    for bi, pb in enumerate(probs):
-                        if pb <= 0.0:
-                            continue
-                        b = SECRETS[bi]
-                        w = base * p_branch * float(pb)
-                        key = (mode, s, i + 1, b)
-                        table[key] = table.get(key, 0.0) + w
-                        verdict_probs[stage_iv_verdict(mode, s, b)[0]] += w
+                # A branch of probability <= 0 never happens; NaN is kept.
+                branches = [br for br in strategy.exact_branches(nonce_set, i, s)
+                            if not br[0] <= 0.0]
+                if not branches:
+                    continue
+                p_branch, joints, learned = zip(*branches)
+                weights = np.multiply(base, p_branch)
+                # (4, 4) @ (n, 4, 1): one matrix-vector product per branch.
+                out = nonce_set.reflections[i] @ np.array(joints, dtype=complex)[:, :, None]
+                block = weights[:, None] * (np.abs(out[:, :, 0]) ** 2)
+                block.sum(axis=0, out=row[i])
+                if len(block) > len(verdicts):
+                    verdicts = np.broadcast_to(verdicts[0], block.shape)
+                np.add.at(masses, verdicts[:len(block)], block)
+                for w, eve_s in zip(weights.tolist(), learned):
+                    if eve_s == s:
+                        p_eve += w
+    verdict_probs = {v: float(masses[n]) for n, v in enumerate(VERDICTS)}
+    cells = np.nonzero(grid)
+    table = {
+        (MODES[m], SECRETS[s], i + 1, SECRETS[b]): p
+        for m, s, i, b, p in zip(*(idx.tolist() for idx in cells), grid[cells].tolist())
+    }
     return ExactDistribution(
         table=table,
         p_detect=verdict_probs[EAVESDROPPER_DETECTED],

@@ -1,0 +1,182 @@
+"""Stacked (array-form) helpers against their one-matrix calls, and the
+exact engine's memory on a large guess table."""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qsslab import analysis
+from qsslab.adversary import AttackPlan, imr_guess_strategy
+from qsslab.errors import ValidationError
+from qsslab.linalg import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    bloch_from_density,
+    haar_state,
+    haar_unitaries,
+    is_pure,
+    max_overlap_unitary,
+    pure_density,
+    random_density,
+    svd_2x2,
+    validate_unitary,
+)
+from qsslab.nonces import NonceSet, SECRETS, builtin_nonce_set, reflection, share_state
+from qsslab.protocol import outcome_distribution
+
+
+def _phase_set(k: int, seed: int) -> NonceSet:
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=(k, 4))
+    return NonceSet(name=f"phase-k{k}", states=tuple(0.5 * np.exp(1j * p) for p in phases))
+
+
+def _bitwise_equal(a, b) -> bool:
+    """Equal values and equal signs of zero."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+def _matrices(rng, n: int) -> np.ndarray:
+    """Random 2x2 complex matrices, with rank-deficient and zero ones mixed in."""
+    m = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    m[::5, 1] = m[::5, 0] * (0.5 - 2j)
+    m[::7] = 0.0
+    return m
+
+
+class TestStackedSvd:
+    def test_svd_2x2_matches_per_matrix_bit_for_bit(self):
+        m = _matrices(np.random.default_rng(1), 60).reshape(3, 20, 2, 2)
+        u, s, w = svd_2x2(m)
+        assert u.shape == w.shape == (3, 20, 2, 2) and s.shape == (3, 20, 2)
+        for idx in np.ndindex(3, 20):
+            u1, (s0, s1), w1 = svd_2x2(m[idx])
+            assert isinstance(s0, float) and isinstance(s1, float)
+            assert _bitwise_equal(u[idx], u1) and _bitwise_equal(w[idx], w1)
+            assert s[idx][0] == s0 and s[idx][1] == s1
+
+    def test_max_overlap_unitary_matches_per_pair_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        alpha = haar_state(4, rng)
+        targets = np.array([haar_state(4, rng) for _ in range(40)])
+        v, values = max_overlap_unitary(alpha, targets)
+        alphas = np.array([haar_state(4, rng) for _ in range(40)]).reshape(5, 8, 4)
+        v2, values2 = max_overlap_unitary(alphas, targets.reshape(5, 8, 4))
+        for n, target in enumerate(targets):
+            v1, value1 = max_overlap_unitary(alpha, target)
+            assert isinstance(value1, float)
+            assert _bitwise_equal(v[n], v1) and values[n] == value1
+            v1, value1 = max_overlap_unitary(alphas.reshape(40, 4)[n], target)
+            assert _bitwise_equal(v2.reshape(40, 2, 2)[n], v1)
+            assert values2.reshape(40)[n] == value1
+
+    def test_builtin_targets_match_per_pair(self):
+        for name in ("hsu-I", "proposed-J"):
+            ns = builtin_nonce_set(name)
+            alpha = np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)
+            v, _ = max_overlap_unitary(alpha, ns.share_stack())
+            for i, psi in enumerate(ns.states):
+                for n, s in enumerate(SECRETS):
+                    assert _bitwise_equal(v[i, n], max_overlap_unitary(alpha, share_state(psi, s))[0])
+
+
+class TestStackedStates:
+    @pytest.mark.parametrize("ns", [builtin_nonce_set("hsu-I"), builtin_nonce_set("proposed-J"),
+                                    _phase_set(9, 3)], ids=lambda ns: ns.name)
+    def test_reflections_and_shares_match_scalar_builders(self, ns):
+        assert ns.reflections.shape == (len(ns), 4, 4)
+        shares = ns.share_stack()
+        assert shares.shape == (len(ns), 4, 4)
+        for i, psi in enumerate(ns.states):
+            assert _bitwise_equal(ns.reflections[i], reflection(psi))
+            for n, s in enumerate(SECRETS):
+                assert _bitwise_equal(shares[i, n], share_state(psi, s))
+
+    def test_bloch_from_density_equals_pauli_traces_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        mats = [random_density(rng) for _ in range(200)]
+        mats += [pure_density(haar_state(2, rng)) for _ in range(200)]
+        for name in ("hsu-I", "proposed-J"):
+            for s in SECRETS:
+                mats += list(analysis.bob_reduced_shares(builtin_nonce_set(name), s))
+        stacked = bloch_from_density(np.array(mats))
+        for rho, got in zip(mats, stacked):
+            want = np.array([np.trace(rho @ p).real for p in (PAULI_X, PAULI_Y, PAULI_Z)])
+            assert _bitwise_equal(got, want)
+            assert _bitwise_equal(bloch_from_density(rho), want)
+
+    def test_objective_coeffs_match_per_state_path(self):
+        rng = np.random.default_rng(5)
+        collections = [np.array([random_density(rng) for _ in range(n)]) for n in (1, 3, 17)]
+        collections += [np.array([pure_density(haar_state(2, rng)) for _ in range(n)]) for n in (1, 8)]
+        collections += [analysis.bob_reduced_shares(ns, s) for s in SECRETS
+                        for ns in (builtin_nonce_set("hsu-I"), builtin_nonce_set("proposed-J"),
+                                   _phase_set(16, 6))]
+        for sigmas in collections:
+            b_mean, c_mean = analysis._objective_coeffs(sigmas)
+            blochs = np.array([bloch_from_density(s) for s in sigmas])
+            dets = [0.0 if is_pure(s) else max(np.linalg.det(s).real, 0.0) for s in sigmas]
+            assert np.abs(b_mean - blochs.mean(axis=0)).max() <= 1e-15
+            assert abs(c_mean - float(np.sqrt(dets).mean())) <= 1e-15
+
+    def test_bob_reduced_shares_trace_out_eve(self):
+        ns = _phase_set(6, 7)
+        for s in SECRETS:
+            shares = analysis.bob_reduced_shares(ns, s)
+            assert shares.shape == (6, 2, 2)
+            for i, psi in enumerate(ns.states):
+                rho = pure_density(share_state(psi, s))
+                assert _bitwise_equal(shares[i], rho[:2, :2] + rho[2:, 2:])
+
+
+class TestStackedUnitaryCheck:
+    def test_accepts_stack_and_names_first_bad_matrix(self):
+        stack = haar_unitaries(6, np.random.default_rng(8))
+        assert validate_unitary(stack, dim=2) is not None
+        bad = stack.copy()
+        bad[4] = [[1, 1], [0, 1]]
+        bad[2, 0, 0] = np.nan
+        with pytest.raises(ValidationError, match="^third: unitary has non-finite"):
+            validate_unitary(bad, dim=2, names=["first", "second", "third", "4", "5", "6"])
+        bad[2] = stack[2]
+        with pytest.raises(ValidationError, match="^matrix 4: matrix is not unitary"):
+            validate_unitary(bad, dim=2)
+
+    def test_plan_names_bad_entry_one_based(self):
+        table = {(i, s): np.eye(2, dtype=complex) for i in range(4) for s in SECRETS}
+        table[(2, "01")] = np.array([[1, 1], [0, 1]], dtype=complex)
+        with pytest.raises(ValidationError, match="^v_table entry 3,01: matrix is not unitary"):
+            AttackPlan(alpha=np.array([1, 0, 0, 0], dtype=complex), v_table=table)
+
+    def test_plan_with_empty_v_table_constructs(self):
+        plan = AttackPlan(alpha=np.array([1, 0, 0, 0], dtype=complex), v_table={},
+                          policy="target-01")
+        assert plan.v_table == {}
+
+    @pytest.mark.parametrize("entry", [
+        [[1, 0], [0, 1, 0]],
+        np.eye(3),
+        np.eye(4).reshape(4, 2, 2),
+        [1, 0, 0, 1],
+        "eye",
+    ], ids=["ragged", "3x3", "4x2x2", "flat", "string"])
+    def test_plan_rejects_misshaped_entry(self, entry):
+        table = {(0, "00"): np.eye(2, dtype=complex), (0, "01"): entry}
+        with pytest.raises(ValidationError):
+            AttackPlan(alpha=np.array([1, 0, 0, 0], dtype=complex), v_table=table)
+
+
+def test_exact_engine_memory_on_uniform_guess_table():
+    ns = _phase_set(64, 9)
+    strat = imr_guess_strategy("uniform-random", ns)
+    ns.reflections  # the cached stack is not part of the engine's working set
+    tracemalloc.start()
+    try:
+        outcome_distribution(ns, strat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"peak {peak / 1e6:.2f} MB"

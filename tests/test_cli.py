@@ -289,6 +289,10 @@ _SIM = ["simulate", "--nonces", "builtin:proposed-J", "--strategy", "honest"]
     (_SIM[:4] + ["ifr:{tmp}/nan_plan.json", "--exact"], {}, 2, "nan_plan.json"),
     (["attack", "--nonces", "builtin:proposed-J", "--policy", "target-01",
       "--alpha", "{tmp}/alpha5.json", "--out", "{tmp}/p.json"], {}, 2, "alpha5.json"),
+    (["certify", "--nonces", "builtin:proposed-J", "--tol", "nan"], {}, 2, "--tol: must be"),
+    (["certify", "--nonces", "builtin:proposed-J", "--tol", "-1"], {}, 2, "--tol: must be"),
+    (["certify", "--nonces", "builtin:proposed-J", "--tol", "0"], {}, 2, "--tol: must be"),
+    (["certify", "--nonces", "builtin:proposed-J", "--tol", "inf"], {}, 2, "--tol: must be"),
 ])
 def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, argv, env, code, message):
     (tmp_path / "states5.json").write_text(json.dumps({"name": "x", "states": 5}))
