@@ -1,7 +1,8 @@
 """Adversary strategies: honest baseline, intercept-measure-resend with a
 nonce guess, and intercept-fake-resend driven by attack plans.
 
-Each strategy implements three hooks used by the protocol engine:
+Each strategy implements three hooks used by the protocol engine, and
+may add a fourth:
 
 * ``intercept(share, rng)``      -- receives the dealer's in-flight joint
   state (Eve's qubit first) and returns the joint state that survives to
@@ -10,7 +11,12 @@ Each strategy implements three hooks used by the protocol engine:
   unitary to apply to the Eve-side factor;
 * ``exact_branches(nonce_set, i, s)`` -- the same behaviour expressed as a
   finite list of ``(probability, joint_state, learned_secret)`` branches,
-  consumed by the exact enumeration engine.
+  consumed by the exact enumeration engine;
+* ``exact_block(nonce_set, s)``   -- optional: the branches of every nonce at
+  once for secret s, as ``(weights, joints, learned)`` arrays of shapes
+  ``(k, n)``, ``(k, n, 4)`` and ``(k, n)``; a branch of weight 0 never
+  happens.  The exact engine prefers it to ``exact_branches``.  The honest
+  and intercept-fake-resend strategies have it.
 
 ``learned_secret`` is whatever 2-bit string Eve has reconstructed this
 round, or None.
@@ -25,6 +31,7 @@ from . import analysis
 from .errors import CertificationError, PlanIncompleteError, ValidationError
 from .jsonio import complex_from_json, complex_to_json, read_json, write_json
 from .linalg import (
+    TOL,
     canonical_purification,
     max_overlap_unitary,
     partial_trace_E,  # noqa: F401 -- benchmarks/traced.py wraps adversary.partial_trace_E
@@ -40,14 +47,19 @@ POLICY_CUSTOM = "custom"
 POLICIES = (POLICY_TARGET_SECRET, POLICY_TARGET_01, POLICY_CUSTOM)
 
 
+# Measurement outcomes of probability at or below this never happen.
+_MIN_OUTCOME_P = 1e-30
+
+
 def _recovery_outcomes(reflections: np.ndarray, share: np.ndarray) -> list:
     """Measure ``share`` after each reflection of the ``(rows, 4, 4)`` stack.
 
     Returns ``(probability, row, outcome index)`` for every outcome of
-    probability above 1e-30; the rest are dropped.
+    probability above ``_MIN_OUTCOME_P``; the rest are dropped.
     """
     probs = (np.abs(reflections @ share) ** 2).tolist()
-    return [(p, row, b) for row, ps in enumerate(probs) for b, p in enumerate(ps) if p > 1e-30]
+    return [(p, row, b) for row, ps in enumerate(probs) for b, p in enumerate(ps)
+            if p > _MIN_OUTCOME_P]
 
 
 def _check_same_set(bound: NonceSet | None, given: NonceSet) -> None:
@@ -84,6 +96,11 @@ class HonestStrategy:
 
     def exact_branches(self, nonce_set, i, s):
         return [(1.0, share_state(nonce_set.states[i], s), None)]
+
+    def exact_block(self, nonce_set, s):
+        k = len(nonce_set)
+        shares = nonce_set.share_stack()[:, SECRETS.index(validate_secret(s))]
+        return np.ones((k, 1)), shares[:, None], np.full((k, 1), None)
 
 
 class ImrGuessStrategy:
@@ -187,6 +204,12 @@ class AttackPlan:
         """``(V x I)|alpha>`` with V the unitary for nonce i and learned secret s."""
         return (self.lookup(i, s) @ self.alpha.reshape(2, 2)).reshape(4)
 
+    def steered_stack(self, k: int) -> np.ndarray:
+        """``steered`` for nonces 0..k-1 and every secret: shape (k, 4, 4),
+        ``[i, n]`` for s = SECRETS[n]."""
+        v = np.array([self.lookup(i, s) for i in range(k) for s in SECRETS])
+        return (v.reshape(k, 4, 2, 2) @ self.alpha.reshape(2, 2)).reshape(k, 4, 4)
+
     def validate_for(self, nonce_set: NonceSet) -> None:
         missing = [
             (i + 1, s)
@@ -253,13 +276,18 @@ class IfrStrategy:
         # The engine announces only an index, so the strategy keeps a
         # reference to the (public) nonce set it is playing against.
         self._nonce_set = None
+        # Every steered fake state of the bound set, for exact_block.
+        self._steered = None
         self.name = f"ifr:{plan.policy}"
         if nonce_set is not None:
             self.bind(nonce_set)
 
     def bind(self, nonce_set: NonceSet) -> "IfrStrategy":
+        """Play against ``nonce_set``.  The exact tables read the plan's
+        steered states as they are now; bind again after editing the plan."""
         self.plan.validate_for(nonce_set)
         self._nonce_set = nonce_set
+        self._steered = self.plan.steered_stack(len(nonce_set))
         return self
 
     def begin_round(self):
@@ -284,6 +312,17 @@ class IfrStrategy:
         share = share_state(nonce_set.states[i], s)
         return [(p, self.plan.steered(i, SECRETS[b]), SECRETS[b])
                 for p, _, b in _recovery_outcomes(nonce_set.reflections[i:i + 1], share)]
+
+    def exact_block(self, nonce_set, s):
+        """``exact_branches`` for every nonce at once: branch b of nonce i
+        learns SECRETS[b] with the recovery probability of outcome b."""
+        _check_same_set(self._nonce_set, nonce_set)
+        k = len(nonce_set)
+        steered = self._steered if self._nonce_set is not None else self.plan.steered_stack(k)
+        shares = nonce_set.share_stack()[:, SECRETS.index(validate_secret(s)), :, None]
+        probs = np.abs(nonce_set.reflections @ shares)[..., 0] ** 2
+        weights = np.where(probs > _MIN_OUTCOME_P, probs, 0.0)
+        return weights, steered, np.broadcast_to(np.array(SECRETS), (k, len(SECRETS)))
 
 
 def honest_strategy() -> HonestStrategy:
@@ -341,11 +380,11 @@ def synthesize_plan(nonce_set: NonceSet, policy: str,
     v_table entry is the Uhlmann-optimal steering unitary toward the
     policy's target share state.
     """
-    recov = analysis.check_recoverability(nonce_set)
-    if not recov.passed:
+    deviation = analysis.overlap_deviation(nonce_set)
+    if not deviation < TOL:
         raise CertificationError(
             "nonce set is not recoverable (worst overlap deviation "
-            f"{recov.worst_overlap_deviation:.3g}); attack synthesis assumes recoverability"
+            f"{deviation:.3g}); attack synthesis assumes recoverability"
         )
     if alpha is None:
         alpha = canonical_purification(_optimizer_state(nonce_set, policy, target_map))

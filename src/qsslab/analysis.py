@@ -71,6 +71,34 @@ def _secret_state(secret) -> tuple[str, np.ndarray]:
     return "custom", vec
 
 
+def _labelled_secrets(secrets) -> tuple[list, np.ndarray]:
+    """Labels of ``secrets`` (default: the four classical ones) and their
+    state vectors as an (m, 4) array."""
+    labelled = [_secret_state(s) for s in (SECRETS if secrets is None else secrets)]
+    return labelled, np.array([vec for _, vec in labelled]).reshape(-1, 4)
+
+
+def _overlaps(s_vecs: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """|<s|psi>| for every secret row of ``s_vecs`` and nonce row of ``states``:
+    shape (m, k)."""
+    # Moduli by hypot, which rounds like the scalar abs; numpy's vectorized
+    # complex abs can differ in the last bit.
+    amp = s_vecs.conj() @ states.T
+    return np.hypot(amp.real, amp.imag)
+
+
+def _worst_deviation(values: np.ndarray, target: float) -> float:
+    return float(np.abs(values - target).max(initial=0.0))
+
+
+def overlap_deviation(nonce_set: NonceSet) -> float:
+    """Worst | |<s|psi>| - 1/2 | over the classical secrets and every nonce:
+    the deviation ``check_recoverability`` tests, without building its
+    report."""
+    _, s_vecs = _labelled_secrets(None)
+    return _worst_deviation(_overlaps(s_vecs, np.array(nonce_set.states)), 0.5)
+
+
 def check_recoverability(nonce_set: NonceSet, secrets=None, tol: float = TOL) -> RecoverabilityReport:
     """Check |<s|psi>| = 1/2 for every pair, and verify the recovery chain.
 
@@ -79,15 +107,9 @@ def check_recoverability(nonce_set: NonceSet, secrets=None, tol: float = TOL) ->
     probability |<s| U_psi U_s |psi>|^2 is computed directly as well, so
     the report witnesses both sides of the equivalence.
     """
-    if secrets is None:
-        secrets = SECRETS
-    labelled = [_secret_state(s) for s in secrets]
-    s_vecs = np.array([vec for _, vec in labelled]).reshape(-1, 4)     # (m, 4)
+    labelled, s_vecs = _labelled_secrets(secrets)                       # s_vecs: (m, 4)
     states = np.array(nonce_set.states)                                 # (k, 4)
-    # Moduli by hypot, which rounds like the scalar abs; numpy's vectorized
-    # complex abs can differ in the last bit.
-    amp = s_vecs.conj() @ states.T                                      # (m, k)
-    overlaps = np.hypot(amp.real, amp.imag)
+    overlaps = _overlaps(s_vecs, states)                                # (m, k)
     shares = reflection(s_vecs)[:, None] @ states[:, :, None]           # (m, k, 4, 1)
     recovered = (s_vecs.conj()[:, None, None, :] @ (nonce_set.reflections @ shares))[..., 0, 0]
     probs = np.hypot(recovered.real, recovered.imag) ** 2
@@ -96,12 +118,12 @@ def check_recoverability(nonce_set: NonceSet, secrets=None, tol: float = TOL) ->
         for (label, _), row_o, row_p in zip(labelled, overlaps.tolist(), probs.tolist())
         for i, (overlap, prob) in enumerate(zip(row_o, row_p))
     ]
-    worst_overlap = float(np.abs(overlaps - 0.5).max(initial=0.0))
+    worst_overlap = _worst_deviation(overlaps, 0.5)
     return RecoverabilityReport(
         pairs=pairs,
         passed=bool(worst_overlap < tol),
         worst_overlap_deviation=worst_overlap,
-        worst_recovery_deviation=float(np.abs(probs - 1.0).max(initial=0.0)),
+        worst_recovery_deviation=_worst_deviation(probs, 1.0),
     )
 
 

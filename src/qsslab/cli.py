@@ -85,6 +85,17 @@ def _positive_float(raw: str) -> float:
     return value
 
 
+def _unit_float(raw: str) -> float:
+    """argparse type: a finite float in [0, 1]."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {raw!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be a finite number in [0, 1], got {raw}")
+    return value
+
+
 def build_manifest(command: str, nonce_source: str, seed: int,
                    rounds: int, mode_prior: float) -> dict:
     return {
@@ -338,10 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=_int_at_least(1), default=10000)
     p.add_argument("--seed", type=_int_at_least(0), default=None,
                    help="defaults to QSSLAB_SEED, then 0")
-    p.add_argument("--mode-prior", type=float, default=0.5, dest="mode_prior")
-    p.add_argument("--exact", action="store_true",
-                   help="exact enumeration instead of Monte Carlo")
-    p.add_argument("--transcripts", help="write JSON-lines transcripts here")
+    p.add_argument("--mode-prior", type=_unit_float, default=0.5, dest="mode_prior",
+                   help="probability of a SECRET-mode round, in [0, 1]")
+    # An exact run plays no rounds, so it has no transcripts to write.
+    play = p.add_mutually_exclusive_group()
+    play.add_argument("--exact", action="store_true",
+                      help="exact enumeration instead of Monte Carlo")
+    play.add_argument("--transcripts", help="write JSON-lines transcripts here")
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=cmd_simulate)
 

@@ -248,20 +248,46 @@ _VERDICT_INDEX = np.array([
 ])
 
 
+def _exact_blocks(nonce_set: NonceSet, strategy, s: str):
+    """Yield ``(first, weights, joints, learned)`` blocks covering every nonce
+    for secret s: nonce ``first + r`` has branches ``weights[r]`` (each branch's
+    probability), ``joints[r]`` (its state entering Stage III) and
+    ``learned[r]`` (Eve's learned secret).
+
+    A strategy with ``exact_block`` gives one block for the whole set.  Any
+    other gets one block per nonce from ``exact_branches``, without the
+    branches of probability <= 0 (NaN is kept); a nonce left with none
+    yields no block.
+    """
+    whole = getattr(strategy, "exact_block", None)
+    if whole is not None:
+        yield (0, *whole(nonce_set, s))
+        return
+    for i in range(len(nonce_set)):
+        branches = [br for br in strategy.exact_branches(nonce_set, i, s) if not br[0] <= 0.0]
+        if branches:
+            p_branch, joints, learned = zip(*branches)
+            yield (i, np.array([p_branch]), np.array([joints], dtype=complex),
+                   np.array([learned], dtype=object))
+
+
 def outcome_distribution(nonce_set: NonceSet, strategy, mode_prior: float = 0.5) -> ExactDistribution:
     """Exact verdict statistics by enumerating every discrete draw.
 
     The strategy must expose ``exact_branches(nonce_set, i, s)`` returning
     ``(probability, joint_state_entering_stage_III, learned_secret)``
-    triples; all strategies in this package do.  Within SECRET mode the
-    dealer's secret bit is averaged uniformly, matching a RoundConfig with
-    ``secret_bit=None``.
+    triples, or ``exact_block(nonce_set, s)`` returning the same for every
+    nonce at once as arrays (see ``qsslab.adversary``).  Within SECRET mode
+    the dealer's secret bit is averaged uniformly, matching a RoundConfig
+    with ``secret_bit=None``.
 
-    Each (mode, s, nonce) draw maps its branches to a (branch, b) block of
-    probability mass with one matmul.  The block's column sums fill one row
-    of a (mode, s, nonce, b) grid, from which the table is read, and
-    ``np.add.at`` adds it to the verdict masses through ``_VERDICT_INDEX``
-    in the order of a scalar branch-by-outcome loop, so sums round alike.
+    Each block of draws maps its branches to (nonce, branch, b) probability
+    mass with one matmul.  Its sums over branches fill rows of a (mode, s,
+    nonce, b) grid, from which the table is read; ``np.add.at`` adds the
+    block to the verdict masses through ``_VERDICT_INDEX``, and Eve's hits
+    are added one by one, all in the (mode, s, nonce, branch, b) order of a
+    scalar loop, so sums round alike however the draws are blocked.  A
+    branch of weight 0 adds exact zeros.
     """
     if not 0.0 <= mode_prior <= 1.0:
         raise ValidationError(f"mode_prior must be in [0, 1], got {mode_prior}")
@@ -276,26 +302,21 @@ def outcome_distribution(nonce_set: NonceSet, strategy, mode_prior: float = 0.5)
         for s in MODE_SECRETS[mode]:
             row = grid[m, SECRETS.index(s)]
             # Verdict index of each (branch, b) cell; a broadcast view, sliced
-            # per draw and widened if a strategy returns more branches.
+            # per block and widened if a block has more branches.
             verdicts = np.broadcast_to(_VERDICT_INDEX[m, SECRETS.index(s)], (4 * k, 4))
-            for i in range(k):
-                # A branch of probability <= 0 never happens; NaN is kept.
-                branches = [br for br in strategy.exact_branches(nonce_set, i, s)
-                            if not br[0] <= 0.0]
-                if not branches:
-                    continue
-                p_branch, joints, learned = zip(*branches)
+            for first, p_branch, joints, learned in _exact_blocks(nonce_set, strategy, s):
+                stop = first + len(p_branch)
                 weights = np.multiply(base, p_branch)
-                # (4, 4) @ (n, 4, 1): one matrix-vector product per branch.
-                out = nonce_set.reflections[i] @ np.array(joints, dtype=complex)[:, :, None]
-                block = weights[:, None] * (np.abs(out[:, :, 0]) ** 2)
-                block.sum(axis=0, out=row[i])
-                if len(block) > len(verdicts):
-                    verdicts = np.broadcast_to(verdicts[0], block.shape)
-                np.add.at(masses, verdicts[:len(block)], block)
-                for w, eve_s in zip(weights.tolist(), learned):
-                    if eve_s == s:
-                        p_eve += w
+                # (rows, 1, 4, 4) @ (rows, n, 4, 1): one matrix-vector product per branch.
+                out = nonce_set.reflections[first:stop, None] @ joints[..., None]
+                block = weights[..., None] * (np.abs(out[..., 0]) ** 2)
+                block.sum(axis=1, out=row[first:stop])
+                flat = block.reshape(-1, 4)
+                if len(flat) > len(verdicts):
+                    verdicts = np.broadcast_to(verdicts[0], flat.shape)
+                np.add.at(masses, verdicts[:len(flat)], flat)
+                for w in weights[np.asarray(learned) == s].tolist():
+                    p_eve += w
     verdict_probs = {v: float(masses[n]) for n, v in enumerate(VERDICTS)}
     cells = np.nonzero(grid)
     table = {

@@ -332,3 +332,11 @@ class TestStrategyRebind:
         strat = ifr_strategy(plan, proposed_set)
         with pytest.raises(ValidationError, match="shuffled"):
             outcome_distribution(other, strat)
+
+    def test_ifr_exact_block_refuses_other_set(self, proposed_set):
+        plan = synthesize_plan(proposed_set, "target-secret")
+        other = NonceSet(name="shuffled", states=proposed_set.states[::-1])
+        strat = ifr_strategy(plan, proposed_set)
+        with pytest.raises(ValidationError, match="shuffled"):
+            strat.exact_block(other, "01")
+        strat.exact_block(builtin_nonce_set("proposed-J"), "01")  # equal contents

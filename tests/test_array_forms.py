@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qsslab import analysis
-from qsslab.adversary import AttackPlan, imr_guess_strategy
+from qsslab.adversary import AttackPlan, ifr_strategy, imr_guess_strategy, synthesize_plan
 from qsslab.errors import ValidationError
 from qsslab.linalg import (
     PAULI_X,
@@ -180,3 +180,18 @@ def test_exact_engine_memory_on_uniform_guess_table():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_exact_engine_memory_on_ifr_table():
+    ns = _phase_set(64, 10)
+    strat = ifr_strategy(synthesize_plan(ns, "target-secret"), ns)
+    ns.reflections  # the cached stack is not part of the engine's working set
+    tracemalloc.start()
+    try:
+        outcome_distribution(ns, strat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # About 0.25 MB, mostly the table dict; one (k, 4k, 4) complex array
+    # alone would be 1 MB.
+    assert peak < 500_000, f"peak {peak / 1e6:.2f} MB"

@@ -293,6 +293,12 @@ _SIM = ["simulate", "--nonces", "builtin:proposed-J", "--strategy", "honest"]
     (["certify", "--nonces", "builtin:proposed-J", "--tol", "-1"], {}, 2, "--tol: must be"),
     (["certify", "--nonces", "builtin:proposed-J", "--tol", "0"], {}, 2, "--tol: must be"),
     (["certify", "--nonces", "builtin:proposed-J", "--tol", "inf"], {}, 2, "--tol: must be"),
+    (_SIM + ["--exact", "--transcripts", "{tmp}/t.jsonl", "--out", "{tmp}/s.json"], {}, 2,
+     "--transcripts"),
+    (_SIM + ["--mode-prior", "nan"], {}, 2, "--mode-prior: must be"),
+    (_SIM + ["--mode-prior", "inf"], {}, 2, "--mode-prior: must be"),
+    (_SIM + ["--mode-prior", "-0.5"], {}, 2, "--mode-prior: must be"),
+    (_SIM + ["--mode-prior", "1.5"], {}, 2, "--mode-prior: must be"),
 ])
 def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, argv, env, code, message):
     (tmp_path / "states5.json").write_text(json.dumps({"name": "x", "states": 5}))
