@@ -96,7 +96,7 @@ def overlap_deviation(nonce_set: NonceSet) -> float:
     the deviation ``check_recoverability`` tests, without building its
     report."""
     _, s_vecs = _labelled_secrets(None)
-    return _worst_deviation(_overlaps(s_vecs, np.array(nonce_set.states)), 0.5)
+    return _worst_deviation(_overlaps(s_vecs, nonce_set.states), 0.5)
 
 
 def check_recoverability(nonce_set: NonceSet, secrets=None, tol: float = TOL) -> RecoverabilityReport:
@@ -108,7 +108,7 @@ def check_recoverability(nonce_set: NonceSet, secrets=None, tol: float = TOL) ->
     the report witnesses both sides of the equivalence.
     """
     labelled, s_vecs = _labelled_secrets(secrets)                       # s_vecs: (m, 4)
-    states = np.array(nonce_set.states)                                 # (k, 4)
+    states = nonce_set.states                                           # (k, 4)
     overlaps = _overlaps(s_vecs, states)                                # (m, k)
     shares = reflection(s_vecs)[:, None] @ states[:, :, None]           # (m, k, 4, 1)
     recovered = (s_vecs.conj()[:, None, None, :] @ (nonce_set.reflections @ shares))[..., 0, 0]

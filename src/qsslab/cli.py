@@ -96,6 +96,13 @@ def _unit_float(raw: str) -> float:
     return value
 
 
+def _nonempty(raw: str) -> str:
+    """argparse type: a non-empty nonce source or path."""
+    if not raw:
+        raise argparse.ArgumentTypeError("expected builtin:<name> or a path, got ''")
+    return raw
+
+
 def build_manifest(command: str, nonce_source: str, seed: int,
                    rounds: int, mode_prior: float) -> dict:
     return {
@@ -186,6 +193,8 @@ def _parse_strategy(selector: str, nonce_set: NonceSet):
         return adversary.imr_guess_strategy("uniform-random", nonce_set)
     if selector.startswith("ifr:"):
         path = selector.split(":", 1)[1]
+        if not path:
+            raise ValidationError("--strategy: ifr: needs a plan path, as in ifr:<plan path>")
         plan = adversary.load_plan(path)
         try:
             return adversary.ifr_strategy(plan, nonce_set)
@@ -328,14 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("certify", help="certify a nonce set (recoverability, secrecy, IMR)")
-    p.add_argument("--nonces", required=True,
+    p.add_argument("--nonces", required=True, type=_nonempty,
                    help="builtin:<hsu-I|proposed-J> or a nonce-set JSON path")
     p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.add_argument("--out", help="write the JSON report here (plus a .txt table)")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("attack", help="synthesize an intercept-fake-resend plan")
-    p.add_argument("--nonces", required=True)
+    p.add_argument("--nonces", required=True, type=_nonempty)
     p.add_argument("--policy", required=True,
                    choices=[adversary.POLICY_TARGET_SECRET, adversary.POLICY_TARGET_01])
     p.add_argument("--alpha", help="optional JSON file [[re,im] x4] forcing the fake state")
@@ -343,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("simulate", help="run protocol rounds against a strategy")
-    p.add_argument("--nonces", required=True)
+    p.add_argument("--nonces", required=True, type=_nonempty)
     p.add_argument("--strategy", required=True,
                    help="honest | imr-guess[:j] (1-based) | ifr:<plan path>")
     p.add_argument("--rounds", type=_int_at_least(1), default=10000)

@@ -30,8 +30,14 @@ def validate_state(v, *, dim: int | None = None, tol: float = 1e-6,
     further off is rejected.
     """
     arr = np.asarray(v, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{what} contains non-finite amplitudes")
+    # Amplitudes of a normalized state have modulus <= 1 (NaN fails the
+    # comparison too); checking that first keeps the norm from overflowing.
+    modulus = np.abs(arr)
+    if not (modulus <= 1.0 + tol).all():
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{what} contains non-finite amplitudes")
+        raise ValidationError(
+            f"{what} is not normalized (an amplitude has modulus {modulus.max():.9g})")
     if dim is not None and arr.shape[0] != dim:
         raise ValidationError(f"{what} must have dimension {dim}, got {arr.shape[0]}")
     if arr.shape[0] not in (2, 4):

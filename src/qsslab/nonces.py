@@ -12,11 +12,13 @@ Custom sets of any size load from JSON: ``{"name": str, "states":
 [[[re, im] x4], ...]}`` with amplitudes in basis order 00, 01, 10, 11
 (complex arrays are encoded as described in ``qsslab.jsonio``).
 Nonce indices are 0-based in code and 1-based in files and reports.
+
+A ``NonceSet`` keeps its states as a read-only (k, 4) array and builds its
+reflections and share states once, with the set.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -70,44 +72,47 @@ def validate_secret(s) -> str:
 
 @dataclass(frozen=True, eq=False)
 class NonceSet:
-    """A named, ordered list of normalized two-qubit nonce states."""
+    """A named, ordered list of normalized two-qubit nonce states.
+
+    Any sequence of state vectors is validated row by row into ``states``,
+    a read-only (k, 4) array; the reflections U_psi (k, 4, 4) and the
+    share stack are built with it, read-only too.
+    """
 
     name: str
-    states: tuple = field(repr=False)
+    states: np.ndarray = field(repr=False)
+    reflections: np.ndarray = field(init=False, repr=False)
+    _shares: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.states) < 1:
             raise ValidationError("a nonce set needs at least one state")
-        checked = tuple(
+        states = np.array([
             validate_state(v, dim=4, what=f"nonce state {i + 1}")
             for i, v in enumerate(self.states)
-        )
-        object.__setattr__(self, "states", checked)
+        ])
+        # Negating the diagonal in place matches ``share_state`` bit for
+        # bit, signed zeros included, which multiplying by a sign matrix
+        # would not.
+        shares = np.repeat(states[:, None, :], 4, axis=1)
+        shares[:, _DIAG, _DIAG] *= -1.0
+        for attr, arr in (("states", states), ("reflections", reflection(states)),
+                          ("_shares", shares)):
+            arr.flags.writeable = False
+            object.__setattr__(self, attr, arr)
 
     def __len__(self) -> int:
         return len(self.states)
 
-    @cached_property
-    def reflections(self) -> np.ndarray:
-        """Cached reflection operators U_psi, one per nonce: shape (k, 4, 4)."""
-        return reflection(np.array(self.states))
-
     def share_stack(self) -> np.ndarray:
         """Every share state at once: ``[i, n]`` is U_s|psi_i> for s = SECRETS[n].
 
-        Shape (k, 4, 4); built per call, not cached.  Negating the diagonal
-        in place matches ``share_state`` bit for bit, signed zeros included,
-        which multiplying by a sign matrix would not.
+        Shape (k, 4, 4), read-only, built with the set.
         """
-        stack = np.repeat(np.array(self.states)[:, None, :], 4, axis=1)
-        stack[:, _DIAG, _DIAG] *= -1.0
-        return stack
+        return self._shares
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "states": complex_to_json(np.array(self.states)),
-        }
+        return {"name": self.name, "states": complex_to_json(self.states)}
 
 
 def reflection(about) -> np.ndarray:

@@ -340,3 +340,31 @@ class TestStrategyRebind:
         with pytest.raises(ValidationError, match="shuffled"):
             strat.exact_block(other, "01")
         strat.exact_block(builtin_nonce_set("proposed-J"), "01")  # equal contents
+
+    @staticmethod
+    def _rewrapped_pair():
+        """A seeded 1/2 e^{i phi} set and its re-wrapped copy, which
+        renormalizes every state again and so differs in last bits."""
+        phases = np.random.default_rng([11, 1]).uniform(0.0, 2.0 * np.pi, size=(6, 4))
+        ns = NonceSet(name="phase-6", states=tuple(0.5 * np.exp(1j * p) for p in phases))
+        copy = NonceSet(ns.name, ns.states)
+        assert not np.array_equal(copy.states, ns.states)
+        return ns, copy
+
+    def test_rewrapped_set_accepted(self):
+        ns, copy = self._rewrapped_pair()
+        imr = imr_guess_strategy(2, ns)
+        assert imr.exact_branches(copy, 0, "01")
+        ifr = ifr_strategy(synthesize_plan(ns, "target-secret"), ns)
+        weights, _, _ = ifr.exact_block(copy, "01")
+        assert weights.shape == (len(ns), len(SECRETS))
+
+    def test_reversed_set_still_refused(self):
+        ns, _ = self._rewrapped_pair()
+        reversed_set = NonceSet(name="reversed", states=ns.states[::-1])
+        imr = imr_guess_strategy(2, ns)
+        with pytest.raises(ValidationError, match="reversed"):
+            imr.exact_branches(reversed_set, 0, "01")
+        ifr = ifr_strategy(synthesize_plan(ns, "target-secret"), ns)
+        with pytest.raises(ValidationError, match="reversed"):
+            ifr.exact_block(reversed_set, "01")

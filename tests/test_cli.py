@@ -299,6 +299,12 @@ _SIM = ["simulate", "--nonces", "builtin:proposed-J", "--strategy", "honest"]
     (_SIM + ["--mode-prior", "inf"], {}, 2, "--mode-prior: must be"),
     (_SIM + ["--mode-prior", "-0.5"], {}, 2, "--mode-prior: must be"),
     (_SIM + ["--mode-prior", "1.5"], {}, 2, "--mode-prior: must be"),
+    (["certify", "--nonces", "{tmp}/huge_state.json"], {}, 2, "huge_state.json"),
+    (["attack", "--nonces", "builtin:proposed-J", "--policy", "target-01",
+      "--alpha", "{tmp}/huge_alpha.json", "--out", "{tmp}/p.json"], {}, 2, "huge_alpha.json"),
+    (_SIM[:4] + ["ifr:{tmp}/huge_plan.json", "--rounds", "5"], {}, 2, "huge_plan.json"),
+    (["certify", "--nonces", ""], {}, 2, "--nonces"),
+    (_SIM[:4] + ["ifr:", "--rounds", "5"], {}, 2, "--strategy"),
 ])
 def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, argv, env, code, message):
     (tmp_path / "states5.json").write_text(json.dumps({"name": "x", "states": 5}))
@@ -312,6 +318,11 @@ def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, argv, env, code, me
                        for i in range(1, 5) for s in ("00", "01", "10", "11")}
     (tmp_path / "nan_plan.json").write_text(json.dumps(plan))
     (tmp_path / "alpha5.json").write_text(json.dumps([[0.5, 0.0]] * 4 + [[0.0, 0.0]]))
+    huge = [[1e200, 0.0]] + [[0.5, 0.0]] * 3
+    (tmp_path / "huge_state.json").write_text(json.dumps({"name": "x", "states": [huge]}))
+    (tmp_path / "huge_alpha.json").write_text(json.dumps(huge))
+    (tmp_path / "huge_plan.json").write_text(
+        json.dumps({"alpha": huge, "policy": "target-01", "v_table": {}}))
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]

@@ -153,6 +153,36 @@ class TestShareTables:
                 assert np.abs(got - pure_density(bob)).max() < 1e-9
 
 
+class TestNonceSetArrays:
+    """A set owns its states, reflections and share stack: built once with
+    the set, read-only, and independent of the caller's input."""
+
+    def test_arrays_are_read_only(self, proposed_set):
+        for arr in (proposed_set.states, proposed_set.reflections, proposed_set.share_stack()):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+
+    def test_share_stack_built_once(self, proposed_set):
+        assert proposed_set.share_stack() is proposed_set.share_stack()
+
+    def test_caller_input_copied(self):
+        vecs = [0.5 * np.ones(4, dtype=complex), 0.5 * np.array([1, 1, -1, -1], dtype=complex)]
+        ns = NonceSet(name="two", states=vecs)
+        before = (ns.states.copy(), ns.reflections.copy(), ns.share_stack().copy())
+        vecs[0][:] = [1, 0, 0, 0]
+        vecs[1][0] = -0.5
+        for arr, want in zip((ns.states, ns.reflections, ns.share_stack()), before):
+            assert np.array_equal(arr, want)
+
+    def test_array_input_builds_same_set(self, proposed_set):
+        from_array = NonceSet(name="rev", states=proposed_set.states[::-1])
+        from_tuple = NonceSet(name="rev", states=tuple(proposed_set.states[::-1]))
+        assert from_array.states.shape == (4, 4)
+        for attr in ("states", "reflections"):
+            assert np.array_equal(getattr(from_array, attr), getattr(from_tuple, attr))
+        assert np.array_equal(from_array.share_stack(), from_tuple.share_stack())
+
+
 class TestNonceSetJson:
     def test_round_trip(self, proposed_set, tmp_path):
         path = tmp_path / "set.json"
