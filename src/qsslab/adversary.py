@@ -19,11 +19,13 @@ may add a fourth:
   and intercept-fake-resend strategies have it.
 
 ``learned_secret`` is whatever 2-bit string Eve has reconstructed this
-round, or None.
+round, or None.  An ``AttackPlan`` is read-only once built, and the
+intercept-fake-resend strategy reads its arrays without keeping a copy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -166,21 +168,26 @@ class ImrGuessStrategy:
                 for p, row, b in _recovery_outcomes(nonce_set.reflections[first:stop], share)]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class AttackPlan:
     """Eve's committed fake state plus her table of steering unitaries.
 
     ``v_table`` maps (0-based nonce index, computed secret) to the 2x2
     unitary Eve applies to her half of ``alpha`` once she has reconstructed
-    the secret at Stage II.
+    the secret at Stage II; it must cover every secret of nonces 0..K-1.
+    Validated once into read-only arrays ``alpha``, ``unitaries`` (K, 4, 2, 2)
+    and ``steered`` (K, 4, 4), the states (V x I)|alpha>, ``[i, n]`` for
+    s = SECRETS[n]; ``v_table`` becomes a read-only view of ``unitaries``.
     """
 
     alpha: np.ndarray = field(repr=False)
-    v_table: dict = field(repr=False)
+    v_table: MappingProxyType = field(repr=False)
     policy: str = POLICY_TARGET_SECRET
+    unitaries: np.ndarray = field(init=False, repr=False)
+    steered: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.alpha = validate_state(self.alpha, dim=4, what="alpha")
+        alpha = validate_state(self.alpha, dim=4, what="alpha")
         if self.policy not in POLICIES:
             raise ValidationError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         keys = [(int(i), validate_secret(s)) for i, s in self.v_table]
@@ -192,38 +199,33 @@ class AttackPlan:
             raise ValidationError("every v_table entry must be a 2x2 matrix")
         stack = validate_unitary(stack.reshape(-1, 2, 2), dim=2,
                                  names=[f"v_table entry {i + 1},{s}" for i, s in keys])
-        self.v_table = dict(zip(keys, stack))
+        row = {key: j for j, key in enumerate(keys)}
+        # k nonces take 4k keys, so a hole or a stray key leaves a gap below k.
+        order = [(i, s) for i in range(-(-len(row) // 4)) for s in SECRETS]
+        gap = next((key for key in order if key not in row), None)
+        if gap is not None:
+            raise PlanIncompleteError(
+                f"attack plan has no unitary for nonce {gap[0] + 1}, secret {gap[1]}")
+        unitaries = stack[[row[key] for key in order]].reshape(-1, 4, 2, 2)
+        steered = (unitaries @ alpha.reshape(2, 2)).reshape(-1, 4, 4)
+        for attr, arr in (("alpha", alpha), ("unitaries", unitaries), ("steered", steered)):
+            arr.flags.writeable = False
+            object.__setattr__(self, attr, arr)
+        object.__setattr__(self, "v_table",
+                           MappingProxyType(dict(zip(order, unitaries.reshape(-1, 2, 2)))))
+
+    def __len__(self) -> int:
+        return len(self.unitaries)
 
     def lookup(self, i: int, s: str) -> np.ndarray:
-        try:
-            return self.v_table[(i, s)]
-        except KeyError:
-            raise PlanIncompleteError(
-                f"attack plan has no unitary for nonce {i + 1}, secret {s}"
-            ) from None
-
-    def steered(self, i: int, s: str) -> np.ndarray:
-        """``(V x I)|alpha>`` with V the unitary for nonce i and learned secret s."""
-        return (self.lookup(i, s) @ self.alpha.reshape(2, 2)).reshape(4)
-
-    def steered_stack(self, k: int) -> np.ndarray:
-        """``steered`` for nonces 0..k-1 and every secret: shape (k, 4, 4),
-        ``[i, n]`` for s = SECRETS[n]."""
-        v = np.array([self.lookup(i, s) for i in range(k) for s in SECRETS])
-        return (v.reshape(k, 4, 2, 2) @ self.alpha.reshape(2, 2)).reshape(k, 4, 4)
+        if not 0 <= i < len(self):
+            raise PlanIncompleteError(f"attack plan has no unitary for nonce {i + 1}, secret {s}")
+        return self.unitaries[i, SECRETS.index(validate_secret(s))]
 
     def validate_for(self, nonce_set: NonceSet) -> None:
-        missing = [
-            (i + 1, s)
-            for i in range(len(nonce_set))
-            for s in SECRETS
-            if (i, s) not in self.v_table
-        ]
-        if missing:
-            raise ValidationError(
-                f"attack plan does not cover nonce set of size {len(nonce_set)}; "
-                f"missing entries for {missing[:4]}{'...' if len(missing) > 4 else ''}"
-            )
+        if len(self) < len(nonce_set):
+            raise PlanIncompleteError(f"attack plan covers {len(self)} nonces, fewer than "
+                                      f"the {len(nonce_set)} of nonce set {nonce_set.name!r}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -278,18 +280,15 @@ class IfrStrategy:
         # The engine announces only an index, so the strategy keeps a
         # reference to the (public) nonce set it is playing against.
         self._nonce_set = None
-        # Every steered fake state of the bound set, for exact_block.
-        self._steered = None
         self.name = f"ifr:{plan.policy}"
         if nonce_set is not None:
             self.bind(nonce_set)
 
     def bind(self, nonce_set: NonceSet) -> "IfrStrategy":
-        """Play against ``nonce_set``.  The exact tables read the plan's
-        steered states as they are now; bind again after editing the plan."""
+        """Play against ``nonce_set``, which the plan must cover.  Every hook
+        reads the plan's read-only arrays, so binding copies nothing."""
         self.plan.validate_for(nonce_set)
         self._nonce_set = nonce_set
-        self._steered = self.plan.steered_stack(len(nonce_set))
         return self
 
     def begin_round(self):
@@ -305,26 +304,26 @@ class IfrStrategy:
             raise ValidationError("nonce announced before interception")
         if self._nonce_set is None:
             raise ValidationError("IfrStrategy must be bound to a nonce set before simulation")
-        u_psi = self._nonce_set.reflections[i]
-        self.learned_secret = sample_outcome(u_psi @ self._retained, rng)
+        self.learned_secret = sample_outcome(self._nonce_set.reflections[i] @ self._retained, rng)
         return self.plan.lookup(i, self.learned_secret)
 
     def exact_branches(self, nonce_set, i, s):
         _check_same_set(self._nonce_set, nonce_set)
+        self.plan.validate_for(nonce_set)
         share = share_state(nonce_set.states[i], s)
-        return [(p, self.plan.steered(i, SECRETS[b]), SECRETS[b])
+        return [(p, self.plan.steered[i, b], SECRETS[b])
                 for p, _, b in _recovery_outcomes(nonce_set.reflections[i:i + 1], share)]
 
     def exact_block(self, nonce_set, s):
         """``exact_branches`` for every nonce at once: branch b of nonce i
         learns SECRETS[b] with the recovery probability of outcome b."""
         _check_same_set(self._nonce_set, nonce_set)
-        k = len(nonce_set)
-        steered = self._steered if self._nonce_set is not None else self.plan.steered_stack(k)
+        self.plan.validate_for(nonce_set)
         shares = nonce_set.share_stack()[:, SECRETS.index(validate_secret(s)), :, None]
         probs = np.abs(nonce_set.reflections @ shares)[..., 0] ** 2
         weights = np.where(probs > _MIN_OUTCOME_P, probs, 0.0)
-        return weights, steered, np.broadcast_to(np.array(SECRETS), (k, len(SECRETS)))
+        learned = np.broadcast_to(np.array(SECRETS), weights.shape)
+        return weights, self.plan.steered[:len(weights)], learned
 
 
 def honest_strategy() -> HonestStrategy:
@@ -404,15 +403,15 @@ def plan_overlaps(plan: AttackPlan, nonce_set: NonceSet,
     out = {}
     for i, s in sorted(plan.v_table):
         target = share_state(nonce_set.states[i], policy_target(plan.policy, s, target_map))
-        out[(i, s)] = state_fidelity(target, plan.steered(i, s))
+        out[(i, s)] = state_fidelity(target, plan.steered[i, SECRETS.index(s)])
     return out
 
 
 def average_recovery(plan: AttackPlan, nonce_set: NonceSet, s: str) -> float:
     """Average over nonces of the probability that Stage III yields s."""
-    validate_secret(s)
-    k = len(nonce_set)
+    n = SECRETS.index(validate_secret(s))
+    plan.validate_for(nonce_set)
     total = 0.0
     for i, psi in enumerate(nonce_set.states):
-        total += state_fidelity(share_state(psi, s), plan.steered(i, s))
-    return total / k
+        total += state_fidelity(share_state(psi, s), plan.steered[i, n])
+    return total / len(nonce_set)

@@ -96,11 +96,17 @@ def _unit_float(raw: str) -> float:
     return value
 
 
-def _nonempty(raw: str) -> str:
-    """argparse type: a non-empty nonce source or path."""
-    if not raw:
-        raise argparse.ArgumentTypeError("expected builtin:<name> or a path, got ''")
-    return raw
+def _nonempty(expected: str):
+    """argparse type: a non-empty string; ``expected`` says what it names."""
+    def parse(raw: str) -> str:
+        if not raw:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got ''")
+        return raw
+    return parse
+
+
+_source = _nonempty("builtin:<name> or a path")
+_path = _nonempty("a path")
 
 
 def build_manifest(command: str, nonce_source: str, seed: int,
@@ -337,22 +343,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("certify", help="certify a nonce set (recoverability, secrecy, IMR)")
-    p.add_argument("--nonces", required=True, type=_nonempty,
+    p.add_argument("--nonces", required=True, type=_source,
                    help="builtin:<hsu-I|proposed-J> or a nonce-set JSON path")
     p.add_argument("--tol", type=_positive_float, default=1e-9)
-    p.add_argument("--out", help="write the JSON report here (plus a .txt table)")
+    p.add_argument("--out", type=_path, help="write the JSON report here (plus a .txt table)")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("attack", help="synthesize an intercept-fake-resend plan")
-    p.add_argument("--nonces", required=True, type=_nonempty)
+    p.add_argument("--nonces", required=True, type=_source)
     p.add_argument("--policy", required=True,
                    choices=[adversary.POLICY_TARGET_SECRET, adversary.POLICY_TARGET_01])
-    p.add_argument("--alpha", help="optional JSON file [[re,im] x4] forcing the fake state")
-    p.add_argument("--out", required=True, help="plan JSON output path")
+    p.add_argument("--alpha", type=_path,
+                   help="optional JSON file [[re,im] x4] forcing the fake state")
+    p.add_argument("--out", required=True, type=_path, help="plan JSON output path")
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("simulate", help="run protocol rounds against a strategy")
-    p.add_argument("--nonces", required=True, type=_nonempty)
+    p.add_argument("--nonces", required=True, type=_source)
     p.add_argument("--strategy", required=True,
                    help="honest | imr-guess[:j] (1-based) | ifr:<plan path>")
     p.add_argument("--rounds", type=_int_at_least(1), default=10000)
@@ -364,13 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     play = p.add_mutually_exclusive_group()
     play.add_argument("--exact", action="store_true",
                       help="exact enumeration instead of Monte Carlo")
-    play.add_argument("--transcripts", help="write JSON-lines transcripts here")
-    p.add_argument("--out", help="write the JSON report here")
+    play.add_argument("--transcripts", type=_path, help="write JSON-lines transcripts here")
+    p.add_argument("--out", type=_path, help="write the JSON report here")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="merge report files into a comparison table")
-    p.add_argument("--inputs", nargs="*", default=[])
-    p.add_argument("--out", required=True, help="output path stem (.json/.csv appended)")
+    p.add_argument("--inputs", nargs="*", type=_path, default=[])
+    p.add_argument("--out", required=True, type=_path,
+                   help="output path stem (.json/.csv appended)")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -230,15 +230,6 @@ class ExactDistribution:
     p_eve_knows_secret: float
     verdict_probs: dict
 
-    def detection_by_mode(self) -> dict:
-        out = {SECRET: 0.0, DETECT: 0.0}
-        mass = {SECRET: 0.0, DETECT: 0.0}
-        for (mode, s, i, b), p in self.table.items():
-            mass[mode] += p
-            if stage_iv_verdict(mode, s, b)[0] == EAVESDROPPER_DETECTED:
-                out[mode] += p
-        return {m: (out[m] / mass[m] if mass[m] > 0 else 0.0) for m in MODES}
-
 
 # Stage IV verdict of every (mode, s, b) as an index into VERDICTS, axes
 # ordered as MODES, SECRETS, SECRETS.

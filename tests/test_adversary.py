@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -168,14 +170,82 @@ class TestIfrStrategy:
 
     def test_missing_entry_raises(self, proposed_set):
         plan = synthesize_plan(proposed_set, "target-secret")
-        del plan.v_table[(2, "01")]
-        with pytest.raises(PlanIncompleteError):
-            plan.lookup(2, "01")
+        table = dict(plan.v_table)
+        del table[(2, "01")]
+        with pytest.raises(PlanIncompleteError, match="nonce 3, secret 01"):
+            AttackPlan(alpha=plan.alpha, v_table=table, policy=plan.policy)
+        with pytest.raises(TypeError):
+            del plan.v_table[(2, "01")]
 
     def test_wrong_size_plan_rejected(self, hsu_set, proposed_set):
         plan = synthesize_plan(proposed_set, "target-secret")
         with pytest.raises(ValidationError):
             ifr_strategy(plan, hsu_set)
+
+
+class TestReadOnlyPlan:
+    """A plan validates its table once; nothing can edit it afterwards."""
+
+    def test_arrays_are_read_only(self, proposed_set):
+        plan = synthesize_plan(proposed_set, "target-01")
+        for arr in (plan.alpha, plan.unitaries, plan.steered, plan.v_table[(1, "10")]):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_table_and_fields_cannot_be_reassigned(self, proposed_set):
+        plan = synthesize_plan(proposed_set, "target-01")
+        with pytest.raises(TypeError):
+            plan.v_table[(0, "00")] = EYE2
+        with pytest.raises(FrozenInstanceError):
+            plan.alpha = PSI_PLUS
+
+    def test_arrays_agree_with_table(self, proposed_set):
+        plan = synthesize_plan(proposed_set, "target-secret")
+        assert len(plan) == len(proposed_set)
+        assert plan.unitaries.shape == (4, 4, 2, 2) and plan.steered.shape == (4, 4, 4)
+        assert list(plan.v_table) == [(i, s) for i in range(4) for s in SECRETS]
+        for (i, s), v in plan.v_table.items():
+            n = SECRETS.index(s)
+            assert np.shares_memory(v, plan.unitaries) and (v == plan.unitaries[i, n]).all()
+            assert (plan.lookup(i, s) == v).all()
+            np.testing.assert_allclose(plan.steered[i, n], np.kron(v, EYE2) @ plan.alpha,
+                                       atol=1e-15)
+
+    def test_gap_names_first_missing_nonce(self):
+        table = {(i, s): EYE2 for i in (0, 2) for s in SECRETS}
+        with pytest.raises(PlanIncompleteError, match="nonce 2, secret 00"):
+            AttackPlan(alpha=PSI_PLUS, v_table=table)
+
+    def test_negative_index_refused(self):
+        table = {(i, s): EYE2 for i in range(2) for s in SECRETS}
+        table[(-1, "00")] = EYE2
+        with pytest.raises(PlanIncompleteError):
+            AttackPlan(alpha=PSI_PLUS, v_table=table)
+
+    def test_lookup_out_of_range(self, proposed_set):
+        plan = synthesize_plan(proposed_set, "target-01")
+        for i in (-1, len(plan)):
+            with pytest.raises(PlanIncompleteError, match=f"nonce {i + 1}, secret 01"):
+                plan.lookup(i, "01")
+
+    def test_plan_smaller_than_set_refused(self, proposed_set, hsu_set):
+        plan = synthesize_plan(proposed_set, "target-01")
+        with pytest.raises(PlanIncompleteError, match="covers 4 nonces, fewer than the 16"):
+            average_recovery(plan, hsu_set, "01")
+        with pytest.raises(PlanIncompleteError):
+            ifr_strategy(plan).exact_block(hsu_set, "01")
+
+    def test_bound_plan_cannot_be_rewritten(self, hsu_set):
+        # Overwriting a bound plan's table once let the exact engine's two
+        # paths disagree (4.6e-33 against 0.625); no edit gets through now.
+        plan = synthesize_plan(hsu_set, "target-secret")
+        strat = ifr_strategy(plan, hsu_set)
+        for key in list(plan.v_table):
+            with pytest.raises(TypeError):
+                plan.v_table[key] = EYE2
+            with pytest.raises(ValueError):
+                plan.v_table[key][...] = EYE2
+        assert outcome_distribution(hsu_set, strat).p_detect == pytest.approx(0.0, abs=1e-12)
 
 
 class TestPlanOptimality:

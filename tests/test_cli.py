@@ -305,6 +305,17 @@ _SIM = ["simulate", "--nonces", "builtin:proposed-J", "--strategy", "honest"]
     (_SIM[:4] + ["ifr:{tmp}/huge_plan.json", "--rounds", "5"], {}, 2, "huge_plan.json"),
     (["certify", "--nonces", ""], {}, 2, "--nonces"),
     (_SIM[:4] + ["ifr:", "--rounds", "5"], {}, 2, "--strategy"),
+    (_SIM[:4] + ["ifr:{tmp}/holed_plan.json", "--rounds", "5"], {}, 2,
+     "holed_plan.json: attack plan has no unitary for nonce 3, secret 01"),
+    (["certify", "--nonces", "builtin:proposed-J", "--out", ""], {}, 2, "--out"),
+    (["attack", "--nonces", "builtin:proposed-J", "--policy", "target-01",
+      "--alpha", "", "--out", "{tmp}/p.json"], {}, 2, "--alpha"),
+    (["attack", "--nonces", "builtin:proposed-J", "--policy", "target-01", "--out", ""], {}, 2,
+     "--out"),
+    (_SIM + ["--rounds", "5", "--out", ""], {}, 2, "--out"),
+    (_SIM + ["--rounds", "5", "--transcripts", ""], {}, 2, "--transcripts"),
+    (["report", "--inputs", "", "--out", "{tmp}/m"], {}, 2, "--inputs"),
+    (["report", "--out", ""], {}, 2, "--out"),
 ])
 def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, argv, env, code, message):
     (tmp_path / "states5.json").write_text(json.dumps({"name": "x", "states": 5}))
@@ -317,6 +328,9 @@ def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, argv, env, code, me
     plan["v_table"] = {f"{i},{s}": [[[float("nan"), 0.0]] * 2] * 2
                        for i in range(1, 5) for s in ("00", "01", "10", "11")}
     (tmp_path / "nan_plan.json").write_text(json.dumps(plan))
+    plan["v_table"] = {f"{i},{s}": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+                       for i in range(1, 5) for s in ("00", "01", "10", "11") if (i, s) != (3, "01")}
+    (tmp_path / "holed_plan.json").write_text(json.dumps(plan))
     (tmp_path / "alpha5.json").write_text(json.dumps([[0.5, 0.0]] * 4 + [[0.0, 0.0]]))
     huge = [[1e200, 0.0]] + [[0.5, 0.0]] * 3
     (tmp_path / "huge_state.json").write_text(json.dumps({"name": "x", "states": [huge]}))
