@@ -31,7 +31,7 @@ import numpy as np
 
 from . import analysis
 from .errors import CertificationError, PlanIncompleteError, ValidationError
-from .jsonio import complex_from_json, complex_to_json, read_json, write_json
+from .jsonio import complex_from_json, complex_to_json, load_json, write_json
 from .linalg import (
     TOL,
     canonical_purification,
@@ -257,11 +257,7 @@ def save_plan(plan: AttackPlan, path) -> None:
 
 
 def load_plan(path) -> AttackPlan:
-    data = read_json(path)
-    try:
-        return AttackPlan.from_json_dict(data)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    return load_json(path, AttackPlan.from_json_dict)
 
 
 class IfrStrategy:

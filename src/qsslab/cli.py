@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, adversary, analysis
 from .errors import CertificationError, ValidationError
-from .jsonio import complex_from_json, json_line, read_json, write_json
+from .jsonio import complex_from_json, json_line, load_json, write_json
 from .linalg import validate_state
 from .nonces import NonceSet, resolve_nonce_source
 from .protocol import RoundConfig, detection_rate, outcome_distribution, tally_rounds
@@ -37,19 +37,47 @@ EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
 
 
+_EXPECTED = {int: "an integer", float: "a number"}
+
+
+def _flag(convert, ok, message: str):
+    """argparse type: ``convert`` the string, then require ``ok`` of the value.
+
+    A string ``convert`` refuses reads "expected an integer" or "expected a
+    number"; a value ``ok`` refuses reads ``message``, formatted with the
+    string as ``raw`` and the converted ``value``.
+    """
+    def parse(raw: str):
+        try:
+            value = convert(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {_EXPECTED[convert]}, got {raw!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message.format(raw=raw, value=value))
+        return value
+    return parse
+
+
+_natural = _flag(int, lambda v: v >= 0, "must be >= 0, got {value}")
+_rounds = _flag(int, lambda v: v >= 1, "must be >= 1, got {value}")
+_tol = _flag(float, lambda v: math.isfinite(v) and v > 0.0,
+             "must be a finite number > 0, got {raw}")
+_prior = _flag(float, lambda v: 0.0 <= v <= 1.0, "must be a finite number in [0, 1], got {raw}")
+_source = _flag(str, bool, "expected builtin:<name> or a path, got {raw!r}")
+_path = _flag(str, bool, "expected a path, got {raw!r}")
+
+
 def _env_int(name: str, default: int) -> int:
     """A non-negative integer from the environment, or ``default`` if unset."""
     raw = os.environ.get(name)
     if raw is None:
         return default
     try:
-        value = int(raw)
-    except ValueError:
-        value = None
-    if value is None or value < 0:
+        return _natural(raw)
+    except argparse.ArgumentTypeError:
         raise ValidationError(
-            f"environment variable {name} must be a non-negative integer, got {raw!r}")
-    return value
+            f"environment variable {name} must be a non-negative integer, got {raw!r}") from None
 
 
 def _timestamp() -> str:
@@ -59,54 +87,6 @@ def _timestamp() -> str:
 
 def _default_seed() -> int:
     return _env_int("QSSLAB_SEED", 0)
-
-
-def _int_at_least(low: int):
-    """argparse type: an integer >= low."""
-    def parse(raw: str) -> int:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-    return parse
-
-
-def _positive_float(raw: str) -> float:
-    """argparse type: a finite float > 0."""
-    try:
-        value = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {raw!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {raw}")
-    return value
-
-
-def _unit_float(raw: str) -> float:
-    """argparse type: a finite float in [0, 1]."""
-    try:
-        value = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {raw!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be a finite number in [0, 1], got {raw}")
-    return value
-
-
-def _nonempty(expected: str):
-    """argparse type: a non-empty string; ``expected`` says what it names."""
-    def parse(raw: str) -> str:
-        if not raw:
-            raise argparse.ArgumentTypeError(f"expected {expected}, got ''")
-        return raw
-    return parse
-
-
-_source = _nonempty("builtin:<name> or a path")
-_path = _nonempty("a path")
 
 
 def build_manifest(command: str, nonce_source: str, seed: int,
@@ -153,21 +133,17 @@ def cmd_certify(args) -> int:
 # ---------------------------------------------------------------------------
 # attack
 
-def _load_alpha(path: str) -> np.ndarray:
+def _decode_alpha(raw) -> np.ndarray:
     """The ``--alpha`` file: a normalized two-qubit state as [re, im] pairs."""
-    raw = read_json(path)
-    try:
-        alpha = complex_from_json(raw, (4,), "alpha")
-        # synthesize_plan normalizes alpha itself; check here to name the file.
-        validate_state(alpha, dim=4, what="alpha")
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    alpha = complex_from_json(raw, (4,), "alpha")
+    # synthesize_plan normalizes alpha itself; check here to name the file.
+    validate_state(alpha, dim=4, what="alpha")
     return alpha
 
 
 def cmd_attack(args) -> int:
     nonce_set = resolve_nonce_source(args.nonces)
-    alpha = _load_alpha(args.alpha) if args.alpha else None
+    alpha = load_json(args.alpha, _decode_alpha) if args.alpha else None
     plan = adversary.synthesize_plan(nonce_set, args.policy, alpha=alpha)
     overlaps = adversary.plan_overlaps(plan, nonce_set)
     for (i, s), val in sorted(overlaps.items()):
@@ -201,11 +177,8 @@ def _parse_strategy(selector: str, nonce_set: NonceSet):
         path = selector.split(":", 1)[1]
         if not path:
             raise ValidationError("--strategy: ifr: needs a plan path, as in ifr:<plan path>")
-        plan = adversary.load_plan(path)
-        try:
-            return adversary.ifr_strategy(plan, nonce_set)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from exc
+        return load_json(path, lambda raw: adversary.ifr_strategy(
+            adversary.AttackPlan.from_json_dict(raw), nonce_set))
     raise ValidationError(
         f"unknown strategy {selector!r}; use honest, imr-guess[:j] or ifr:<plan path>")
 
@@ -266,62 +239,58 @@ _REPORT_COLUMNS = (
 )
 
 
-def _report_row(payload: dict) -> dict:
-    row = {c: "" for c in _REPORT_COLUMNS}
+def _report_entry(payload) -> tuple:
+    """A report file's manifest hash and its row of the merged table."""
+    if not isinstance(payload, dict):
+        raise ValidationError(
+            f"not a qsslab report (expected a JSON object, got {type(payload).__name__})")
+    if "manifest" not in payload or "kind" not in payload:
+        raise ValidationError("not a qsslab report (missing manifest/kind)")
     kind = payload["kind"]
     if kind not in ("certification", "simulation"):
-        raise ValidationError("unrecognized report kind")
-    if not isinstance(payload[kind], dict):
-        raise ValidationError(f'"{kind}" must be an object')
-    if kind == "certification":
-        cert = payload["certification"]
-        row.update({
-            "nonce_set": cert["nonce_set_name"],
-            "strategy": "-",
-            "recoverable": cert["recoverable"],
-            "secret": cert["secret"],
-            "imr_protected": cert["imr_protected"],
-            "r_00": cert["r_of_s"]["00"],
-            "r_01": cert["r_of_s"]["01"],
-            "r_10": cert["r_of_s"]["10"],
-            "r_11": cert["r_of_s"]["11"],
-        })
-        if cert.get("detection_bounds"):
-            row["detection_floor"] = cert["detection_bounds"]["floor"]
-            row["detection_ceiling"] = cert["detection_bounds"]["ceiling"]
-    else:
-        sim = payload["simulation"]
-        row.update({
-            "nonce_set": sim["nonce_set"],
-            "strategy": sim["strategy"],
-            "rounds": sim["rounds"],
-            "p_detect": sim["p_detect"],
-            "exact_p_detect": sim["exact_p_detect"],
-            "p_eve_knows_secret": sim["p_eve_knows_secret"],
-        })
-    return row
+        raise ValidationError("schema mismatch: unrecognized report kind")
+    row = {c: "" for c in _REPORT_COLUMNS}
+    try:
+        if not isinstance(payload[kind], dict):
+            raise TypeError(f'"{kind}" must be an object')
+        if kind == "certification":
+            cert = payload["certification"]
+            row.update({
+                "nonce_set": cert["nonce_set_name"],
+                "strategy": "-",
+                "recoverable": cert["recoverable"],
+                "secret": cert["secret"],
+                "imr_protected": cert["imr_protected"],
+                "r_00": cert["r_of_s"]["00"],
+                "r_01": cert["r_of_s"]["01"],
+                "r_10": cert["r_of_s"]["10"],
+                "r_11": cert["r_of_s"]["11"],
+            })
+            if cert.get("detection_bounds"):
+                row["detection_floor"] = cert["detection_bounds"]["floor"]
+                row["detection_ceiling"] = cert["detection_bounds"]["ceiling"]
+        else:
+            sim = payload["simulation"]
+            row.update({
+                "nonce_set": sim["nonce_set"],
+                "strategy": sim["strategy"],
+                "rounds": sim["rounds"],
+                "p_detect": sim["p_detect"],
+                "exact_p_detect": sim["exact_p_detect"],
+                "p_eve_knows_secret": sim["p_eve_knows_secret"],
+            })
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"schema mismatch: {exc}") from exc
+    return manifest_hash(payload["manifest"]), row
 
 
 def cmd_report(args) -> int:
-    rows = []
-    seen = set()
+    # Every file is decoded, duplicates too, so a malformed one always names itself.
+    rows = {}
     for path in args.inputs:
-        payload = read_json(path)
-        if not isinstance(payload, dict):
-            raise ValidationError(
-                f"{path}: not a qsslab report (expected a JSON object, "
-                f"got {type(payload).__name__})")
-        if "manifest" not in payload or "kind" not in payload:
-            raise ValidationError(f"{path}: not a qsslab report (missing manifest/kind)")
-        digest = manifest_hash(payload["manifest"])
-        if digest in seen:
-            continue
-        seen.add(digest)
-        try:
-            rows.append(_report_row(payload))
-        except (KeyError, TypeError, ValidationError) as exc:
-            raise ValidationError(f"{path}: schema mismatch: {exc}") from exc
-    rows.sort(key=lambda r: (str(r["nonce_set"]), str(r["strategy"])))
+        digest, row = load_json(path, _report_entry)
+        rows.setdefault(digest, row)
+    rows = sorted(rows.values(), key=lambda r: (str(r["nonce_set"]), str(r["strategy"])))
     write_json(args.out + ".json", {"columns": list(_REPORT_COLUMNS), "rows": rows})
     with open(args.out + ".csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_REPORT_COLUMNS)
@@ -345,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="certify a nonce set (recoverability, secrecy, IMR)")
     p.add_argument("--nonces", required=True, type=_source,
                    help="builtin:<hsu-I|proposed-J> or a nonce-set JSON path")
-    p.add_argument("--tol", type=_positive_float, default=1e-9)
+    p.add_argument("--tol", type=_tol, default=1e-9)
     p.add_argument("--out", type=_path, help="write the JSON report here (plus a .txt table)")
     p.set_defaults(func=cmd_certify)
 
@@ -362,10 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nonces", required=True, type=_source)
     p.add_argument("--strategy", required=True,
                    help="honest | imr-guess[:j] (1-based) | ifr:<plan path>")
-    p.add_argument("--rounds", type=_int_at_least(1), default=10000)
-    p.add_argument("--seed", type=_int_at_least(0), default=None,
+    p.add_argument("--rounds", type=_rounds, default=10000)
+    p.add_argument("--seed", type=_natural, default=None,
                    help="defaults to QSSLAB_SEED, then 0")
-    p.add_argument("--mode-prior", type=_unit_float, default=0.5, dest="mode_prior",
+    p.add_argument("--mode-prior", type=_prior, default=0.5, dest="mode_prior",
                    help="probability of a SECRET-mode round, in [0, 1]")
     # An exact run plays no rounds, so it has no transcripts to write.
     play = p.add_mutually_exclusive_group()

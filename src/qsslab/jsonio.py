@@ -43,6 +43,18 @@ def read_json(path):
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
 
 
+def load_json(path, decode):
+    """``decode`` the JSON value of the file at ``path``.
+
+    A ``ValidationError`` from ``decode`` comes back as ``<path>: <message>``.
+    """
+    raw = read_json(path)
+    try:
+        return decode(raw)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
 def write_json(path, payload) -> None:
     """Write ``payload`` with indent 2, sorted keys and a trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .jsonio import complex_from_json, complex_to_json, read_json
+from .jsonio import complex_from_json, complex_to_json, load_json
 from .linalg import tensor, validate_state
 
 SECRETS = ("00", "01", "10", "11")
@@ -174,11 +174,7 @@ def nonce_set_from_json_dict(data: dict) -> NonceSet:
 
 def load_nonce_set(path) -> NonceSet:
     """Load a nonce set from a JSON file; see the module docstring for format."""
-    data = read_json(path)
-    try:
-        return nonce_set_from_json_dict(data)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    return load_json(path, nonce_set_from_json_dict)
 
 
 def resolve_nonce_source(source: str) -> NonceSet:
