@@ -41,7 +41,7 @@ from .linalg import (
     validate_state,
     validate_unitary,
 )
-from .nonces import NonceSet, SECRETS, sample_outcome, share_state, validate_secret
+from .nonces import NonceSet, SECRETS, sample_outcome, set_frozen, share_state, validate_secret
 
 POLICY_TARGET_SECRET = "target-secret"
 POLICY_TARGET_01 = "target-01"
@@ -208,11 +208,21 @@ class AttackPlan:
                 f"attack plan has no unitary for nonce {gap[0] + 1}, secret {gap[1]}")
         unitaries = stack[[row[key] for key in order]].reshape(-1, 4, 2, 2)
         steered = (unitaries @ alpha.reshape(2, 2)).reshape(-1, 4, 4)
-        for attr, arr in (("alpha", alpha), ("unitaries", unitaries), ("steered", steered)):
-            arr.flags.writeable = False
-            object.__setattr__(self, attr, arr)
+        self.__setstate__({"alpha": alpha, "unitaries": unitaries, "steered": steered})
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "v_table"}
+
+    def __setstate__(self, state):
+        """Keep validated arrays read-only, with ``v_table`` viewing ``unitaries``.
+
+        ``copy`` and ``pickle`` restore a plan through here too, bit for bit:
+        validating alpha again would renormalize it and can move its last bit.
+        """
+        set_frozen(self, **state)
+        order = [(i, s) for i in range(len(self.unitaries)) for s in SECRETS]
         object.__setattr__(self, "v_table",
-                           MappingProxyType(dict(zip(order, unitaries.reshape(-1, 2, 2)))))
+                           MappingProxyType(dict(zip(order, self.unitaries.reshape(-1, 2, 2)))))
 
     def __len__(self) -> int:
         return len(self.unitaries)
@@ -395,11 +405,14 @@ def synthesize_plan(nonce_set: NonceSet, policy: str,
 
 def plan_overlaps(plan: AttackPlan, nonce_set: NonceSet,
                   target_map: dict | None = None) -> dict:
-    """Achieved |<psi_{i,target}| (V x I) |alpha>|^2 per (nonce, secret)."""
+    """Achieved |<psi_{i,target}| (V x I) |alpha>|^2 per (nonce, secret) of
+    ``nonce_set``, which the plan must cover."""
+    plan.validate_for(nonce_set)
     out = {}
-    for i, s in sorted(plan.v_table):
-        target = share_state(nonce_set.states[i], policy_target(plan.policy, s, target_map))
-        out[(i, s)] = state_fidelity(target, plan.steered[i, SECRETS.index(s)])
+    for i, psi in enumerate(nonce_set.states):
+        for n, s in enumerate(SECRETS):
+            target = share_state(psi, policy_target(plan.policy, s, target_map))
+            out[(i, s)] = state_fidelity(target, plan.steered[i, n])
     return out
 
 

@@ -7,7 +7,7 @@ complex arrays.  All operations are pure functions; inputs are never
 mutated.
 
 Tolerance: TOL (1e-9) for algebraic identities that hold exactly at these
-dimensions.
+dimensions; INPUT_TOL (1e-6) for the checks on given states and unitaries.
 """
 from __future__ import annotations
 
@@ -16,24 +16,24 @@ import numpy as np
 from .errors import UnsupportedCaseError, ValidationError
 
 TOL = 1e-9
+INPUT_TOL = 1e-6
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def validate_state(v, *, dim: int | None = None, tol: float = 1e-6,
-                   what: str = "state") -> np.ndarray:
+def validate_state(v, *, dim: int | None = None, what: str = "state") -> np.ndarray:
     """Check finiteness and normalization; return a fresh complex array.
 
-    States within `tol` of unit norm are renormalized exactly; anything
+    States within ``INPUT_TOL`` of unit norm are renormalized exactly; anything
     further off is rejected.
     """
     arr = np.asarray(v, dtype=complex).reshape(-1)
     # Amplitudes of a normalized state have modulus <= 1 (NaN fails the
     # comparison too); checking that first keeps the norm from overflowing.
     modulus = np.abs(arr)
-    if not (modulus <= 1.0 + tol).all():
+    if not (modulus <= 1.0 + INPUT_TOL).all():
         if not np.isfinite(arr).all():
             raise ValidationError(f"{what} contains non-finite amplitudes")
         raise ValidationError(
@@ -43,13 +43,12 @@ def validate_state(v, *, dim: int | None = None, tol: float = 1e-6,
     if arr.shape[0] not in (2, 4):
         raise ValidationError(f"{what} must have dimension 2 or 4, got {arr.shape[0]}")
     norm = np.linalg.norm(arr)
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > INPUT_TOL:
         raise ValidationError(f"{what} is not normalized (norm {norm:.9g})")
     return arr / norm
 
 
-def validate_unitary(u, *, dim: int | None = None, tol: float = 1e-6,
-                     names=None) -> np.ndarray:
+def validate_unitary(u, *, dim: int | None = None, names=None) -> np.ndarray:
     """Check a unitary, or a stack of unitaries along the leading axes.
 
     A failure in a stack names its first bad matrix: ``names[j]`` for the
@@ -62,10 +61,10 @@ def validate_unitary(u, *, dim: int | None = None, tol: float = 1e-6,
         raise ValidationError(f"unitary must be {dim}x{dim}, got {mat.shape[-2]}x{mat.shape[-1]}")
     # Entries of a unitary have modulus <= 1; this also rejects NaN and Inf,
     # and keeps the product below from overflowing.
-    bad_entries = ~(np.abs(mat).max(axis=(-2, -1), initial=0.0) <= 1.0 + tol)
+    bad_entries = ~(np.abs(mat).max(axis=(-2, -1), initial=0.0) <= 1.0 + INPUT_TOL)
     safe = np.where(bad_entries[..., None, None], 0.0, mat)
     gram = np.einsum("...ji,...jk->...ik", safe.conj(), safe) - np.eye(mat.shape[-1])
-    bad = bad_entries | (np.abs(gram).max(axis=(-2, -1), initial=0.0) > tol)
+    bad = bad_entries | (np.abs(gram).max(axis=(-2, -1), initial=0.0) > INPUT_TOL)
     if bad.any():
         j = int(np.argmax(bad.reshape(-1)))
         reason = ("unitary has non-finite entries or entries above 1 in modulus"
@@ -105,10 +104,10 @@ def bob_marginal(state) -> np.ndarray:
     return a.T @ a.conj()
 
 
-def is_pure(rho, tol: float = TOL):
-    """``|Tr rho^2 - 1| <= tol``; elementwise over leading axes of a stack."""
+def is_pure(rho):
+    """``|Tr rho^2 - 1| <= TOL``; elementwise over leading axes of a stack."""
     rho = np.asarray(rho, dtype=complex)
-    return np.abs(np.einsum("...ab,...ba->...", rho, rho).real - 1.0) <= tol
+    return np.abs(np.einsum("...ab,...ba->...", rho, rho).real - 1.0) <= TOL
 
 
 def state_fidelity(a, b) -> float:

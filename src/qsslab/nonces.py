@@ -70,13 +70,22 @@ def validate_secret(s) -> str:
     return s
 
 
+def set_frozen(obj, **fields) -> None:
+    """Set fields of a frozen dataclass; the arrays among them become read-only."""
+    for attr, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, attr, value)
+
+
 @dataclass(frozen=True, eq=False)
 class NonceSet:
     """A named, ordered list of normalized two-qubit nonce states.
 
     Any sequence of state vectors is validated row by row into ``states``,
     a read-only (k, 4) array; the reflections U_psi (k, 4, 4) and the
-    share stack are built with it, read-only too.
+    share stack are built with it, read-only too.  ``copy`` and ``pickle``
+    keep the arrays as they are, read-only, without validating again.
     """
 
     name: str
@@ -96,10 +105,11 @@ class NonceSet:
         # would not.
         shares = np.repeat(states[:, None, :], 4, axis=1)
         shares[:, _DIAG, _DIAG] *= -1.0
-        for attr, arr in (("states", states), ("reflections", reflection(states)),
-                          ("_shares", shares)):
-            arr.flags.writeable = False
-            object.__setattr__(self, attr, arr)
+        set_frozen(self, states=states, reflections=reflection(states), _shares=shares)
+
+    def __setstate__(self, state):
+        # Copies and unpickled sets keep the validated arrays bit for bit.
+        set_frozen(self, **state)
 
     def __len__(self) -> int:
         return len(self.states)

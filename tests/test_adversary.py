@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -24,6 +26,7 @@ from qsslab.linalg import (
     partial_trace_E,
     pure_density,
     state_fidelity,
+    validate_state,
 )
 from qsslab.nonces import NonceSet, SECRETS, builtin_nonce_set, share_state
 from qsslab.protocol import RoundConfig, outcome_distribution, run_round, run_rounds
@@ -438,3 +441,68 @@ class TestStrategyRebind:
         ifr = ifr_strategy(synthesize_plan(ns, "target-secret"), ns)
         with pytest.raises(ValidationError, match="reversed"):
             ifr.exact_block(reversed_set, "01")
+
+
+COPIES = {"deepcopy": copy.deepcopy, "pickle": lambda obj: pickle.loads(pickle.dumps(obj))}
+
+
+def _assert_same_read_only(got, want):
+    assert (got == want).all() and not got.flags.writeable
+
+
+class TestCopies:
+    """deepcopy and pickle keep a set's or a plan's validated arrays as
+    they are: equal bit for bit, read-only, and not validated again."""
+
+    @pytest.mark.parametrize("how", COPIES)
+    @pytest.mark.parametrize("name", ["hsu-I", "proposed-J"])
+    def test_nonce_set(self, name, how):
+        ns = builtin_nonce_set(name)
+        twin = COPIES[how](ns)
+        for got, want in ((twin.states, ns.states), (twin.reflections, ns.reflections),
+                          (twin.share_stack(), ns.share_stack())):
+            _assert_same_read_only(got, want)
+        assert twin.to_json_dict() == ns.to_json_dict()
+
+    @pytest.mark.parametrize("how", COPIES)
+    @pytest.mark.parametrize("policy", ["target-secret", "target-01"])
+    @pytest.mark.parametrize("name", ["hsu-I", "proposed-J"])
+    def test_bound_ifr_strategy(self, name, policy, how):
+        ns = builtin_nonce_set(name)
+        strat = ifr_strategy(synthesize_plan(ns, policy), ns)
+        twin_set, twin = COPIES[how]((ns, strat))
+        plan, twin_plan = strat.plan, twin.plan
+        for attr in ("alpha", "unitaries", "steered"):
+            _assert_same_read_only(getattr(twin_plan, attr), getattr(plan, attr))
+        assert list(twin_plan.v_table) == list(plan.v_table)
+        for v in twin_plan.v_table.values():
+            assert np.shares_memory(v, twin_plan.unitaries) and not v.flags.writeable
+        assert twin_plan.to_json_dict() == plan.to_json_dict()
+        for prior in (0.3, 0.5):
+            assert (outcome_distribution(twin_set, twin, mode_prior=prior)
+                    == outcome_distribution(ns, strat, mode_prior=prior))
+
+    @pytest.mark.parametrize("how", COPIES)
+    def test_alpha_kept_bit_for_bit(self, how):
+        # Find a plan whose alpha moves a last bit when normalized again.
+        rng = np.random.default_rng(31)
+        while True:
+            plan = AttackPlan(alpha=haar_state(4, rng), v_table={(0, s): EYE2 for s in SECRETS})
+            if not np.array_equal(validate_state(plan.alpha), plan.alpha):
+                break
+        assert np.array_equal(COPIES[how](plan).alpha, plan.alpha)
+
+
+class TestPlanOverlaps:
+    def test_scores_the_sets_nonces(self, hsu_set):
+        plan = synthesize_plan(hsu_set, "target-secret")
+        small = NonceSet(name="first-two", states=hsu_set.states[:2])
+        overlaps = plan_overlaps(plan, small)
+        assert list(overlaps) == [(i, s) for i in range(2) for s in SECRETS]
+        assert overlaps == {key: v for key, v in plan_overlaps(plan, hsu_set).items()
+                            if key[0] < 2}
+
+    def test_plan_smaller_than_set_refused(self, proposed_set, hsu_set):
+        plan = synthesize_plan(proposed_set, "target-01")
+        with pytest.raises(PlanIncompleteError, match="covers 4 nonces, fewer than the 16"):
+            plan_overlaps(plan, hsu_set)

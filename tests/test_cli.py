@@ -7,7 +7,7 @@ import pytest
 from qsslab.adversary import honest_strategy, ifr_strategy, imr_guess_strategy, load_plan
 from qsslab.cli import main
 from qsslab.nonces import builtin_nonce_set
-from qsslab.protocol import RoundConfig, estimate_detection
+from qsslab.protocol import RoundConfig, estimate_detection, outcome_distribution
 
 
 @pytest.fixture(autouse=True)
@@ -359,3 +359,57 @@ def test_unexpected_exception_exits_three(monkeypatch, capsys):
     assert run(["certify", "--nonces", "builtin:proposed-J"]) == 3
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: unexpected\n"
+
+
+def _report_variants(tmp_path):
+    """A certification report and broken copies that keep its manifest."""
+    good = tmp_path / "good.json"
+    assert run(["certify", "--nonces", "builtin:proposed-J", "--out", str(good)]) == 0
+    payload = json.loads(good.read_text())
+    variants = {
+        "unknown_kind.json": {**payload, "kind": "nope"},
+        "list_body.json": {**payload, "certification": [1, 2]},
+        "missing_keys.json": {**payload, "certification": {"nonce_set_name": "x"}},
+    }
+    for name, body in variants.items():
+        (tmp_path / name).write_text(json.dumps(body))
+
+
+@pytest.mark.parametrize("argv, line", [
+    (_SIM[:4] + ["imr-guess:x"], "imr-guess index must be an integer, got 'x'"),
+    (_SIM[:4] + ["imr-guess:0"], "imr-guess index 0 out of range 1..4"),
+    (_SIM[:4] + ["imr-guess:9"], "imr-guess index 9 out of range 1..4"),
+    (["report", "--inputs", "{tmp}/unknown_kind.json"],
+     "{tmp}/unknown_kind.json: schema mismatch: unrecognized report kind"),
+    (["report", "--inputs", "{tmp}/list_body.json"],
+     '{tmp}/list_body.json: schema mismatch: "certification" must be an object'),
+    (["report", "--inputs", "{tmp}/missing_keys.json"],
+     "{tmp}/missing_keys.json: schema mismatch: 'recoverable'"),
+    # The broken file repeats good.json's manifest; it is decoded all the same.
+    (["report", "--inputs", "{tmp}/good.json", "{tmp}/missing_keys.json"],
+     "{tmp}/missing_keys.json: schema mismatch: 'recoverable'"),
+])
+def test_bad_selector_and_report_exit_codes(tmp_path, capsys, argv, line):
+    _report_variants(tmp_path)
+    capsys.readouterr()
+    tail = ["--rounds", "5"] if argv[0] == "simulate" else ["--out", "{tmp}/m"]
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv + tail]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: " + line.replace("{tmp}", str(tmp_path)) + "\n"
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_exact_mode_prior_reaches_the_engine(tmp_path):
+    out = tmp_path / "sim.json"
+    assert run(["simulate", "--nonces", "builtin:proposed-J", "--strategy", "imr-guess",
+                "--exact", "--mode-prior", "0.3", "--out", str(out)]) == 0
+    ns = builtin_nonce_set("proposed-J")
+    want = outcome_distribution(ns, imr_guess_strategy("uniform-random", ns), mode_prior=0.3)
+    sim = json.loads(out.read_text())["simulation"]
+    assert sim["mode_prior"] == 0.3
+    assert sim["p_detect"] == want.p_detect
+
+
+def test_certify_accepts_a_tolerance(capsys):
+    assert run(["certify", "--nonces", "builtin:proposed-J", "--tol", "1e-6"]) == 0
+    assert "PASS" in capsys.readouterr().out

@@ -63,7 +63,8 @@ def test_block_path_equals_branch_path(label):
 def test_block_path_sums_several_outcomes_alike(k):
     # On a non-recoverable set Eve's recovery has several outcomes per
     # nonce, so each grid cell sums several branches, some of weight 0 on
-    # the block path.  An unbound strategy builds its steered stack per call.
+    # the block path.  The plan carries its steered stack, so the unbound
+    # strategy differs only in checking that the plan covers the set.
     rng = np.random.default_rng([12, k])
     ns = NonceSet(name=f"haar-{k}", states=tuple(haar_state(4, rng) for _ in range(k)))
     units = haar_unitaries(4 * k, rng)

@@ -158,3 +158,22 @@ def test_matches_scalar_reference(label):
                      f"{ns.name} k={len(ns)} prior={prior}")
         checked += 1
     assert checked >= 30
+
+
+class _FiveBranchesStrategy:
+    """Five positive branches for one nonce: more than the 4k rows of the
+    engine's verdict view when k = 1, so the engine must widen it."""
+
+    name = "five-branches"
+
+    def exact_branches(self, nonce_set, i, s):
+        share = share_state(nonce_set.states[i], s)
+        return [(0.2, np.roll(share, n), SECRETS[n % 4]) for n in range(5)]
+
+
+@pytest.mark.parametrize("prior", PRIORS)
+def test_more_branches_than_rows(prior):
+    ns = NonceSet(name="one", states=(0.5 * np.exp(1j * np.arange(4)),))
+    strat = _FiveBranchesStrategy()
+    _assert_same(outcome_distribution(ns, strat, mode_prior=prior),
+                 reference_distribution(ns, strat, mode_prior=prior), f"prior={prior}")

@@ -238,3 +238,37 @@ class TestRoundConfigValidation:
         cfg = RoundConfig(nonce_set=proposed_set)
         with pytest.raises(ValidationError):
             estimate_detection(cfg, honest_strategy(), 0)
+
+
+class _StageTwoStrategy:
+    """Forwards the share, then hands the engine a given Stage II operator."""
+
+    name = "stage-two"
+    learned_secret = None
+
+    def __init__(self, operator):
+        self.operator = operator
+
+    def begin_round(self):
+        pass
+
+    def intercept(self, share, rng):
+        return share
+
+    def nonce_announced(self, i, rng):
+        return self.operator
+
+
+class TestStageTwoContract:
+    @pytest.mark.parametrize("operator, message", [
+        (np.eye(3), "must be 2x2"),
+        (2.0 * np.eye(2), "broke normalization"),
+    ])
+    def test_bad_operator_raises(self, proposed_set, operator, message):
+        cfg = RoundConfig(nonce_set=proposed_set, rng_seed=0)
+        with pytest.raises(ProtocolError, match=message):
+            run_round(cfg, _StageTwoStrategy(operator))
+
+    def test_exact_engine_refuses_bad_mode_prior(self, proposed_set):
+        with pytest.raises(ValidationError, match="mode_prior"):
+            outcome_distribution(proposed_set, honest_strategy(), mode_prior=1.5)
