@@ -254,9 +254,10 @@ class AttackPlan:
         v_table = {}
         for key, rows in data["v_table"].items():
             i_str, _, s = key.partition(",")
-            if not (i_str.isdecimal() and int(i_str) >= 1):
+            # One spelling per index: "01,00" would overwrite "1,00" unseen.
+            if not (i_str.isdecimal() and int(i_str) >= 1 and str(int(i_str)) == i_str):
                 raise ValidationError(f'v_table key {key!r} must read "<nonce>,<secret>"'
-                                      " with a 1-based nonce index")
+                                      " with a 1-based nonce index and no leading zeros")
             v_table[(int(i_str) - 1, s)] = complex_from_json(rows, (2, 2), f"v_table entry {key}")
         alpha = complex_from_json(data["alpha"], (4,), "alpha")
         return cls(alpha=alpha, v_table=v_table, policy=data["policy"])
@@ -332,17 +333,9 @@ class IfrStrategy:
         return weights, self.plan.steered[:len(weights)], learned
 
 
-def honest_strategy() -> HonestStrategy:
-    return HonestStrategy()
-
-
-def imr_guess_strategy(guess: int | str = "uniform-random",
-                       nonce_set: NonceSet | None = None) -> ImrGuessStrategy:
-    return ImrGuessStrategy(guess, nonce_set)
-
-
-def ifr_strategy(plan: AttackPlan, nonce_set: NonceSet | None = None) -> IfrStrategy:
-    return IfrStrategy(plan, nonce_set)
+honest_strategy = HonestStrategy
+imr_guess_strategy = ImrGuessStrategy
+ifr_strategy = IfrStrategy
 
 
 def policy_target(policy: str, s: str, target_map: dict | None = None) -> str:
@@ -415,12 +408,3 @@ def plan_overlaps(plan: AttackPlan, nonce_set: NonceSet,
             out[(i, s)] = state_fidelity(target, plan.steered[i, n])
     return out
 
-
-def average_recovery(plan: AttackPlan, nonce_set: NonceSet, s: str) -> float:
-    """Average over nonces of the probability that Stage III yields s."""
-    n = SECRETS.index(validate_secret(s))
-    plan.validate_for(nonce_set)
-    total = 0.0
-    for i, psi in enumerate(nonce_set.states):
-        total += state_fidelity(share_state(psi, s), plan.steered[i, n])
-    return total / len(nonce_set)

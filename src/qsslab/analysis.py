@@ -26,7 +26,8 @@ from .linalg import (
     density_from_bloch,
     fidelity,
     is_pure,
-    partial_trace_E,  # noqa: F401 -- benchmarks/traced.py wraps analysis.partial_trace_E
+    partial_trace_E,
+    pure_density,
     validate_state,
 )
 from .nonces import (
@@ -64,17 +65,12 @@ class RecoverabilityReport:
     worst_recovery_deviation: float
 
 
-def _secret_state(secret) -> tuple[str, np.ndarray]:
-    if isinstance(secret, str):
-        return secret, basis_state(secret)
-    vec = validate_state(secret, dim=4, what="quantum secret")
-    return "custom", vec
-
-
 def _labelled_secrets(secrets) -> tuple[list, np.ndarray]:
     """Labels of ``secrets`` (default: the four classical ones) and their
     state vectors as an (m, 4) array."""
-    labelled = [_secret_state(s) for s in (SECRETS if secrets is None else secrets)]
+    labelled = [(s, basis_state(s)) if isinstance(s, str)
+                else ("custom", validate_state(s, dim=4, what="quantum secret"))
+                for s in (SECRETS if secrets is None else secrets)]
     return labelled, np.array([vec for _, vec in labelled]).reshape(-1, 4)
 
 
@@ -142,12 +138,6 @@ def recovery_amplitude(overlap_sq: float) -> float:
 # ---------------------------------------------------------------------------
 # Secrecy and intercept-measure-resend protection
 
-def _share_densities(nonce_set: NonceSet) -> np.ndarray:
-    """|psi_{i,s}><psi_{i,s}| for every share state: shape (k, 4, 4, 4)."""
-    shares = nonce_set.share_stack()
-    return shares[..., :, None] * shares[..., None, :].conj()
-
-
 def _max_norm(delta: np.ndarray) -> np.ndarray:
     return np.abs(delta).max(axis=(-2, -1))
 
@@ -157,14 +147,14 @@ def check_secrecy(nonce_set: NonceSet) -> dict:
 
     Keys are 1-based nonce indices.
     """
-    avg = _share_densities(nonce_set).sum(axis=1) / 4.0
+    avg = pure_density(nonce_set.share_stack()).sum(axis=1) / 4.0
     devs = _max_norm(avg - np.eye(4, dtype=complex) / 4.0)
     return {i + 1: float(dev) for i, dev in enumerate(devs)}
 
 
 def check_imr(nonce_set: NonceSet) -> float:
     """Max-norm deviation of the grand share average from I/4."""
-    avg = _share_densities(nonce_set).reshape(-1, 4, 4).sum(axis=0) / (4.0 * len(nonce_set))
+    avg = pure_density(nonce_set.share_stack()).reshape(-1, 4, 4).sum(axis=0) / (4.0 * len(nonce_set))
     return float(_max_norm(avg - np.eye(4, dtype=complex) / 4.0))
 
 
@@ -271,8 +261,7 @@ def bob_reduced_shares(nonce_set: NonceSet, s: str) -> np.ndarray:
     """Bob-side reduced density matrices of every share state for secret s:
     shape (k, 2, 2), Eve's qubit traced out."""
     shares = nonce_set.share_stack()[:, SECRETS.index(validate_secret(s))]
-    dens = shares[:, :, None] * shares[:, None, :].conj()
-    return dens[:, :2, :2] + dens[:, 2:, 2:]
+    return partial_trace_E(pure_density(shares))
 
 
 def r_of_s(nonce_set: NonceSet, s: str, method: str = "auto") -> tuple[float, np.ndarray]:

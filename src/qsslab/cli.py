@@ -82,7 +82,11 @@ def _env_int(name: str, default: int) -> int:
 
 def _timestamp() -> str:
     t = _env_int("SOURCE_DATE_EPOCH", int(time.time()))
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
+    try:
+        return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
+    except (OverflowError, OSError, ValueError):
+        raise ValidationError("environment variable SOURCE_DATE_EPOCH is out of the "
+                              f"platform's time range, got {t}") from None
 
 
 def _default_seed() -> int:

@@ -85,23 +85,17 @@ def tensor(a, b) -> np.ndarray:
 
 
 def pure_density(v) -> np.ndarray:
-    """|v><v| for a state vector."""
+    """|v><v| for a state vector; a stack gives one matrix per vector."""
     v = np.asarray(v, dtype=complex)
-    return np.outer(v, v.conj())
+    return v[..., :, None] * v[..., None, :].conj()
 
 
 def partial_trace_E(rho) -> np.ndarray:
-    """Trace out the first (Eve-side) qubit of a two-qubit density matrix."""
+    """Trace out the first (Eve-side) qubit of a 4x4 density matrix or a stack."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValidationError("partial_trace_E expects a 4x4 density matrix")
-    return rho[:2, :2] + rho[2:, 2:]
-
-
-def bob_marginal(state) -> np.ndarray:
-    """Reduced state of Bob's (second) qubit for a pure two-qubit state."""
-    a = np.asarray(state, dtype=complex).reshape(2, 2)
-    return a.T @ a.conj()
+    return rho[..., :2, :2] + rho[..., 2:, 2:]
 
 
 def is_pure(rho):
@@ -113,11 +107,6 @@ def is_pure(rho):
 def state_fidelity(a, b) -> float:
     """|<a|b>|^2 for two pure states of equal dimension."""
     return float(abs(np.vdot(np.asarray(a), np.asarray(b))) ** 2)
-
-
-def _dominant_eigvec(rho) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(rho)
-    return vecs[:, -1]
 
 
 def fidelity(rho, sigma) -> float:
@@ -144,12 +133,10 @@ def fidelity(rho, sigma) -> float:
         return float(min(max(val, 0.0), 1.0))
     if rho.shape != (4, 4):
         raise ValidationError("fidelity supports dimensions 2 and 4 only")
-    if is_pure(rho):
-        v = _dominant_eigvec(rho)
-        return float(min(max(np.vdot(v, sigma @ v).real, 0.0), 1.0))
-    if is_pure(sigma):
-        v = _dominant_eigvec(sigma)
-        return float(min(max(np.vdot(v, rho @ v).real, 0.0), 1.0))
+    for pure, other in ((rho, sigma), (sigma, rho)):
+        if is_pure(pure):
+            v = np.linalg.eigh(pure)[1][:, -1]
+            return float(min(max(np.vdot(v, other @ v).real, 0.0), 1.0))
     raise UnsupportedCaseError("fidelity of two mixed two-qubit states is not supported")
 
 
@@ -184,18 +171,14 @@ def density_from_bloch(v) -> np.ndarray:
 def svd_2x2(m):
     """SVD of a 2x2 complex matrix: m = U diag(s) W^dagger, s descending.
 
-    A single matrix gives ``(U, (s0, s1), W)`` with float singular values;
-    a stack along leading axes gives ``(U, s, W)`` with ``s`` of shape
-    ``(..., 2)``.
+    A stack along leading axes gives ``(U, s, W)`` with ``s`` of shape
+    ``(..., 2)``; a single matrix is a stack with no leading axes.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape[-2:] != (2, 2):
         raise ValidationError("svd_2x2 expects a 2x2 matrix")
     u, s, wh = np.linalg.svd(m)
-    w = wh.conj().swapaxes(-1, -2)
-    if m.ndim == 2:
-        return u, (float(s[0]), float(s[1])), w
-    return u, s, w
+    return u, s, wh.conj().swapaxes(-1, -2)
 
 
 def sqrtm_psd(rho) -> np.ndarray:
@@ -238,29 +221,6 @@ def max_overlap_unitary(alpha, target):
     b = target.reshape(target.shape[:-1] + (2, 2))
     u, s, w = svd_2x2(a @ b.conj().swapaxes(-1, -2))
     v = w @ u.conj().swapaxes(-1, -2)
-    if isinstance(s, tuple):
-        return v, float((s[0] + s[1]) ** 2)
-    # float_power rounds like the scalar path's C pow; a numpy square (x * x)
-    # differs from it in the last bit for about 1 value in 1000.
+    # float_power rounds like C pow; a numpy square (x * x) differs from it
+    # in the last bit for about 1 value in 1000.
     return v, np.float_power(s[..., 0] + s[..., 1], 2.0)
-
-
-def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure state of the given dimension."""
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
-def haar_unitaries(n: int, rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    """Stack of n Haar-random dim x dim unitaries, shape (n, dim, dim)."""
-    g = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    return q * (d / np.abs(d))[:, None, :]
-
-
-def random_density(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    """Random full-rank density matrix (normalized Ginibre square)."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .jsonio import complex_from_json, complex_to_json, load_json
-from .linalg import tensor, validate_state
+from .linalg import pure_density, tensor, validate_state
 
 SECRETS = ("00", "01", "10", "11")
 
@@ -36,7 +36,7 @@ MINUS_I = np.array([1, -1j], dtype=complex) * _S2
 
 BUILTIN_NAMES = ("hsu-I", "proposed-J")
 
-_DIAG = np.arange(4)
+_SECRET_INDEX = {s: n for n, s in enumerate(SECRETS)}
 
 
 def sample_outcome(state: np.ndarray, rng) -> str:
@@ -100,11 +100,7 @@ class NonceSet:
             validate_state(v, dim=4, what=f"nonce state {i + 1}")
             for i, v in enumerate(self.states)
         ])
-        # Negating the diagonal in place matches ``share_state`` bit for
-        # bit, signed zeros included, which multiplying by a sign matrix
-        # would not.
-        shares = np.repeat(states[:, None, :], 4, axis=1)
-        shares[:, _DIAG, _DIAG] *= -1.0
+        shares = np.stack([share_state(states, s) for s in SECRETS], axis=1)
         set_frozen(self, states=states, reflections=reflection(states), _shares=shares)
 
     def __setstate__(self, state):
@@ -132,14 +128,18 @@ def reflection(about) -> np.ndarray:
     orthogonal complement.  A stack of states gives a stack of reflections.
     """
     v = np.asarray(about, dtype=complex)
-    return np.eye(v.shape[-1], dtype=complex) - 2.0 * (v[..., :, None] * v[..., None, :].conj())
+    return np.eye(v.shape[-1], dtype=complex) - 2.0 * pure_density(v)
 
 
 def share_state(nonce, s: str) -> np.ndarray:
-    """Share state U_s |nonce>: the basis reflection flips one amplitude."""
+    """Share state U_s |nonce>: the basis reflection flips one amplitude,
+    in each state of a (..., 4) stack."""
     validate_secret(s)
     out = np.array(nonce, dtype=complex)
-    out[int(s, 2)] *= -1.0
+    # In-place negation keeps signed zeros, which a sign vector would not.
+    # Indexing the transpose reaches a stack's last axis; the dict lookup
+    # is cheaper than int(s, 2) in this once-per-round call.
+    out.T[_SECRET_INDEX[s]] *= -1.0
     return out
 
 
@@ -174,12 +174,14 @@ def nonce_set_from_json_dict(data: dict) -> NonceSet:
     if not isinstance(data["states"], list):
         raise ValidationError(
             f'"states" must be a list of states, got {type(data["states"]).__name__}')
+    if not isinstance(data["name"], str):
+        raise ValidationError(f'"name" must be a string, got {type(data["name"]).__name__}')
     states = tuple(
         validate_state(complex_from_json(raw, (4,), f"state {i + 1}"), dim=4,
                        what=f"state {i + 1}")
         for i, raw in enumerate(data["states"])
     )
-    return NonceSet(name=str(data["name"]), states=states)
+    return NonceSet(name=data["name"], states=states)
 
 
 def load_nonce_set(path) -> NonceSet:

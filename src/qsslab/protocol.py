@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import ProtocolError, ValidationError
 from .jsonio import complex_to_json
+from .linalg import INPUT_TOL
 from .nonces import NonceSet, SECRETS, sample_outcome, share_state, validate_secret
 
 SECRET = "SECRET"
@@ -47,8 +48,6 @@ VERDICTS = (RETIRED, ROUND_DROPPED, EAVESDROPPER_DETECTED)
 # Stage I: the strings s each mode draws from.  In SECRET mode the dealer's
 # secret bit indexes the pair; in DETECT mode s is drawn uniformly from it.
 MODE_SECRETS = {SECRET: ("01", "10"), DETECT: ("00", "11")}
-
-_STATE_NORM_TOL = 1e-6
 
 
 def stage_iv_verdict(mode: str, s: str, b: str) -> tuple[str, int | None]:
@@ -143,7 +142,7 @@ def run_round(cfg: RoundConfig, strategy, round_index: int = 0) -> RoundTranscri
     share = share_state(nonce_set.states[i], s)
     strategy.begin_round()
     joint = np.asarray(strategy.intercept(share, rng), dtype=complex)
-    if joint.shape != (4,) or abs(np.linalg.norm(joint) - 1.0) > _STATE_NORM_TOL:
+    if joint.shape != (4,) or abs(np.linalg.norm(joint) - 1.0) > INPUT_TOL:
         raise ProtocolError(
             f"strategy {getattr(strategy, 'name', strategy)!r} returned a "
             "non-normalized or mis-shaped state at interception"
@@ -156,7 +155,7 @@ def run_round(cfg: RoundConfig, strategy, round_index: int = 0) -> RoundTranscri
         if v.shape != (2, 2):
             raise ProtocolError("stage-II unitary must be 2x2")
         joint = np.kron(v, np.eye(2, dtype=complex)) @ joint
-        if abs(np.linalg.norm(joint) - 1.0) > _STATE_NORM_TOL:
+        if abs(np.linalg.norm(joint) - 1.0) > INPUT_TOL:
             raise ProtocolError("stage-II operator broke normalization")
 
     recovered = nonce_set.reflections[i] @ joint

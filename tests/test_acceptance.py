@@ -23,10 +23,7 @@ from qsslab.analysis import (
 )
 from qsslab.linalg import (
     bloch_from_density,
-    bob_marginal,
     fidelity,
-    haar_state,
-    haar_unitaries,
     max_overlap_unitary,
     partial_trace_E,
     pure_density,
@@ -54,6 +51,7 @@ from qsslab.protocol import (
     outcome_distribution,
     run_rounds,
 )
+from oracles import bob_marginal, haar_state, haar_unitaries
 
 TOL = 1e-9
 EYE2 = np.eye(2, dtype=complex)

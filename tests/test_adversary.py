@@ -7,7 +7,6 @@ import pytest
 
 from qsslab.adversary import (
     AttackPlan,
-    average_recovery,
     honest_strategy,
     ifr_strategy,
     imr_guess_strategy,
@@ -21,8 +20,6 @@ from qsslab.analysis import r_of_s
 from qsslab.errors import CertificationError, PlanIncompleteError, ValidationError
 from qsslab.linalg import (
     TOL,
-    haar_state,
-    haar_unitaries,
     partial_trace_E,
     pure_density,
     state_fidelity,
@@ -30,6 +27,7 @@ from qsslab.linalg import (
 )
 from qsslab.nonces import NonceSet, SECRETS, builtin_nonce_set, share_state
 from qsslab.protocol import RoundConfig, outcome_distribution, run_round, run_rounds
+from oracles import average_recovery, haar_state, haar_unitaries
 
 S2 = 1.0 / np.sqrt(2.0)
 EYE2 = np.eye(2, dtype=complex)

@@ -21,10 +21,8 @@ from qsslab.linalg import (
     bloch_from_density,
     density_from_bloch,
     fidelity,
-    haar_state,
     is_pure,
     pure_density,
-    random_density,
 )
 from qsslab.nonces import (
     MINUS,
@@ -38,6 +36,7 @@ from qsslab.nonces import (
     reflection,
     share_state,
 )
+from oracles import haar_state, random_density
 
 EYE2 = np.eye(2, dtype=complex)
 BASIS_00_SET = NonceSet(name="basis00", states=(np.array([1, 0, 0, 0], dtype=complex),))

@@ -13,17 +13,16 @@ from qsslab.linalg import (
     PAULI_Y,
     PAULI_Z,
     bloch_from_density,
-    haar_state,
-    haar_unitaries,
     is_pure,
     max_overlap_unitary,
+    partial_trace_E,
     pure_density,
-    random_density,
     svd_2x2,
     validate_unitary,
 )
 from qsslab.nonces import NonceSet, SECRETS, builtin_nonce_set, reflection, share_state
 from qsslab.protocol import outcome_distribution
+from oracles import haar_state, haar_unitaries, random_density
 
 
 def _phase_set(k: int, seed: int) -> NonceSet:
@@ -94,6 +93,27 @@ class TestStackedStates:
             assert _bitwise_equal(ns.reflections[i], reflection(psi))
             for n, s in enumerate(SECRETS):
                 assert _bitwise_equal(shares[i, n], share_state(psi, s))
+
+    @pytest.mark.parametrize("ns", [builtin_nonce_set("hsu-I"), builtin_nonce_set("proposed-J"),
+                                    _phase_set(11, 12)], ids=lambda ns: ns.name)
+    def test_share_density_and_reduction_match_one_state_calls(self, ns):
+        shares = np.stack([share_state(ns.states, s) for s in SECRETS], axis=1)
+        dens = pure_density(shares)
+        reduced = partial_trace_E(dens)
+        assert dens.shape == (len(ns), 4, 4, 4) and reduced.shape == (len(ns), 4, 2, 2)
+        for n, s in enumerate(SECRETS):
+            bob = analysis.bob_reduced_shares(ns, s)
+            for i, psi in enumerate(ns.states):
+                one = share_state(psi, s)
+                assert _bitwise_equal(shares[i, n], one)
+                assert _bitwise_equal(dens[i, n], pure_density(one))
+                assert _bitwise_equal(reduced[i, n], partial_trace_E(pure_density(one)))
+                assert _bitwise_equal(bob[i], reduced[i, n])
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (16,), (3, 2, 2), (4, 4, 2), (2, 4, 4, 3)])
+    def test_partial_trace_rejects_other_trailing_shapes(self, shape):
+        with pytest.raises(ValidationError, match="expects a 4x4 density matrix"):
+            partial_trace_E(np.zeros(shape, dtype=complex))
 
     def test_bloch_from_density_equals_pauli_traces_bit_for_bit(self):
         rng = np.random.default_rng(4)

@@ -316,9 +316,23 @@ _SIM = ["simulate", "--nonces", "builtin:proposed-J", "--strategy", "honest"]
     (_SIM + ["--rounds", "5", "--transcripts", ""], {}, 2, "--transcripts"),
     (["report", "--inputs", "", "--out", "{tmp}/m"], {}, 2, "--inputs"),
     (["report", "--out", ""], {}, 2, "--out"),
+    (["certify", "--nonces", "builtin:proposed-J", "--out", "{tmp}/c.json"],
+     {"SOURCE_DATE_EPOCH": "99999999999999999999"}, 2,
+     "SOURCE_DATE_EPOCH is out of the platform's time range"),
+    (_SIM + ["--rounds", "5"], {"SOURCE_DATE_EPOCH": "99999999999999999999"}, 2,
+     "SOURCE_DATE_EPOCH is out of the platform's time range"),
+    (["certify", "--nonces", "{tmp}/name_null.json"], {}, 2,
+     'name_null.json: "name" must be a string, got NoneType'),
+    (["certify", "--nonces", "{tmp}/name_object.json"], {}, 2,
+     'name_object.json: "name" must be a string, got dict'),
+    (_SIM[:4] + ["ifr:{tmp}/padded_plan.json", "--rounds", "5"], {}, 2,
+     "padded_plan.json: v_table key '01,00' must read"),
 ])
 def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, argv, env, code, message):
     (tmp_path / "states5.json").write_text(json.dumps({"name": "x", "states": 5}))
+    for label, name in (("null", None), ("object", {"a": 1})):
+        (tmp_path / f"name_{label}.json").write_text(
+            json.dumps({"name": name, "states": [[[0.5, 0.0]] * 4]}))
     (tmp_path / "number.json").write_text("5")
     (tmp_path / "string.json").write_text('"manifest kind"')
     (tmp_path / "latin1.json").write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
@@ -331,6 +345,8 @@ def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, argv, env, code, me
     plan["v_table"] = {f"{i},{s}": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
                        for i in range(1, 5) for s in ("00", "01", "10", "11") if (i, s) != (3, "01")}
     (tmp_path / "holed_plan.json").write_text(json.dumps(plan))
+    plan["v_table"]["3,01"] = plan["v_table"]["01,00"] = plan["v_table"]["1,00"]
+    (tmp_path / "padded_plan.json").write_text(json.dumps(plan))
     (tmp_path / "alpha5.json").write_text(json.dumps([[0.5, 0.0]] * 4 + [[0.0, 0.0]]))
     huge = [[1e200, 0.0]] + [[0.5, 0.0]] * 3
     (tmp_path / "huge_state.json").write_text(json.dumps({"name": "x", "states": [huge]}))

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from qsslab.adversary import AttackPlan, honest_strategy, ifr_strategy, synthesize_plan
-from qsslab.linalg import haar_state, haar_unitaries
 from qsslab.nonces import NonceSet, SECRETS, builtin_nonce_set
 from qsslab.protocol import outcome_distribution
+from oracles import haar_state, haar_unitaries
 
 PRIORS = (0.0, 0.3, 0.5, 1.0)
 

@@ -7,16 +7,12 @@ from qsslab.errors import UnsupportedCaseError, ValidationError
 from qsslab.linalg import (
     TOL,
     bloch_from_density,
-    bob_marginal,
     canonical_purification,
     density_from_bloch,
     fidelity,
-    haar_state,
-    haar_unitaries,
     max_overlap_unitary,
     partial_trace_E,
     pure_density,
-    random_density,
     state_fidelity,
     svd_2x2,
     tensor,
@@ -24,6 +20,7 @@ from qsslab.linalg import (
     validate_unitary,
 )
 from qsslab.nonces import MINUS, PLUS, PLUS_I
+from oracles import bob_marginal, haar_state, haar_unitaries, random_density
 
 S2 = 1.0 / np.sqrt(2.0)
 KET0 = np.array([1, 0], dtype=complex)

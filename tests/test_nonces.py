@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsslab.errors import ValidationError
-from qsslab.linalg import TOL, haar_state, partial_trace_E, pure_density, state_fidelity, tensor
+from qsslab.linalg import TOL, partial_trace_E, pure_density, state_fidelity, tensor
 from qsslab.nonces import (
     MINUS,
     MINUS_I,
@@ -21,6 +21,7 @@ from qsslab.nonces import (
     sample_outcome,
     share_state,
 )
+from oracles import haar_state
 
 EYE4 = np.eye(4, dtype=complex)
 
