@@ -26,7 +26,7 @@ from .linalg import (
     density_from_bloch,
     fidelity,
     is_pure,
-    partial_trace_E,
+    partial_trace_E,  # noqa: F401 -- benchmarks/traced.py wraps analysis.partial_trace_E
     pure_density,
     validate_state,
 )
@@ -259,9 +259,9 @@ def max_average_fidelity(sigmas, method: str = "auto") -> tuple[float, np.ndarra
 
 def bob_reduced_shares(nonce_set: NonceSet, s: str) -> np.ndarray:
     """Bob-side reduced density matrices of every share state for secret s:
-    shape (k, 2, 2), Eve's qubit traced out."""
-    shares = nonce_set.share_stack()[:, SECRETS.index(validate_secret(s))]
-    return partial_trace_E(pure_density(shares))
+    shape (k, 2, 2), Eve's qubit traced out; a read-only view into
+    ``nonce_set.reduced_share_stack()``."""
+    return nonce_set.reduced_share_stack()[:, SECRETS.index(validate_secret(s))]
 
 
 def r_of_s(nonce_set: NonceSet, s: str, method: str = "auto") -> tuple[float, np.ndarray]:
@@ -319,21 +319,23 @@ def detection_bounds(nonce_set: NonceSet, mode_prior: float = 0.5) -> dict:
     ``ceiling`` is 1 - (probability of a SECRET-mode round) times the
     probability that the fixed-target plan forces an opposite-bit outcome;
     ``floor`` is the smallest exact detection probability among the shipped
-    plan policies.  Requires a recoverable nonce set.
+    plan policies.  Requires a recoverable nonce set.  Each policy's
+    numbers are the exact engine's sums over its plan's ``steered`` stack,
+    those ``outcome_distribution`` gives for the plan's IFR strategy.
     """
     from . import adversary
-    from .protocol import RETIRED, outcome_distribution
+    from .protocol import EAVESDROPPER_DETECTED, RETIRED, VERDICTS, accumulate_exact
 
     per_policy = {}
     success01 = 0.0
     for policy in (adversary.POLICY_TARGET_SECRET, adversary.POLICY_TARGET_01):
         plan = adversary.synthesize_plan(nonce_set, policy)
-        strat = adversary.ifr_strategy(plan, nonce_set)
-        dist = outcome_distribution(nonce_set, strat, mode_prior=mode_prior)
-        per_policy[policy] = dist.p_detect
+        _, masses, _ = accumulate_exact(
+            nonce_set, lambda s: [(0, *adversary.ifr_block(nonce_set, plan, s))], mode_prior)
+        per_policy[policy] = float(masses[VERDICTS.index(EAVESDROPPER_DETECTED)])
         if policy == adversary.POLICY_TARGET_01 and mode_prior > 0.0:
             # RETIRED is exactly a SECRET-mode round that measured 01 or 10.
-            success01 = dist.verdict_probs[RETIRED] / mode_prior
+            success01 = float(masses[VERDICTS.index(RETIRED)]) / mode_prior
     return {
         "floor": min(per_policy.values()),
         "ceiling": 1.0 - mode_prior * success01,

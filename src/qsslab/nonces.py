@@ -14,7 +14,8 @@ Custom sets of any size load from JSON: ``{"name": str, "states":
 Nonce indices are 0-based in code and 1-based in files and reports.
 
 A ``NonceSet`` keeps its states as a read-only (k, 4) array and builds its
-reflections and share states once, with the set.
+reflections, share states, Bob's reduced shares and recovery probabilities
+once, with the set.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .jsonio import complex_from_json, complex_to_json, load_json
-from .linalg import pure_density, tensor, validate_state
+from .linalg import partial_trace_E, pure_density, tensor, validate_state
 
 SECRETS = ("00", "01", "10", "11")
 
@@ -83,15 +84,18 @@ class NonceSet:
     """A named, ordered list of normalized two-qubit nonce states.
 
     Any sequence of state vectors is validated row by row into ``states``,
-    a read-only (k, 4) array; the reflections U_psi (k, 4, 4) and the
-    share stack are built with it, read-only too.  ``copy`` and ``pickle``
-    keep the arrays as they are, read-only, without validating again.
+    a read-only (k, 4) array; the reflections U_psi (k, 4, 4), the share
+    stack, Bob's reduced shares and the recovery probabilities are built
+    with it, read-only too.  ``copy`` and ``pickle`` keep the arrays as
+    they are, read-only, without validating again.
     """
 
     name: str
     states: np.ndarray = field(repr=False)
     reflections: np.ndarray = field(init=False, repr=False)
     _shares: np.ndarray = field(init=False, repr=False)
+    _reduced: np.ndarray = field(init=False, repr=False)
+    _recovery: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.states) < 1:
@@ -101,7 +105,12 @@ class NonceSet:
             for i, v in enumerate(self.states)
         ])
         shares = np.stack([share_state(states, s) for s in SECRETS], axis=1)
-        set_frozen(self, states=states, reflections=reflection(states), _shares=shares)
+        reflections = reflection(states)
+        # One matrix-vector product per (nonce, secret), so each secret's
+        # slice equals a (k, 4, 4) @ (k, 4, 1) product bit for bit.
+        recovery = np.abs(reflections[:, None] @ shares[..., None])[..., 0] ** 2
+        set_frozen(self, states=states, reflections=reflections, _shares=shares,
+                   _reduced=partial_trace_E(pure_density(shares)), _recovery=recovery)
 
     def __setstate__(self, state):
         # Copies and unpickled sets keep the validated arrays bit for bit.
@@ -116,6 +125,22 @@ class NonceSet:
         Shape (k, 4, 4), read-only, built with the set.
         """
         return self._shares
+
+    def reduced_share_stack(self) -> np.ndarray:
+        """Bob's reduced share states: ``[i, n]`` is U_s|psi_i><psi_i|U_s
+        with Eve's qubit traced out, for s = SECRETS[n].
+
+        Shape (k, 4, 2, 2), read-only, built with the set.
+        """
+        return self._reduced
+
+    def recovery_stack(self) -> np.ndarray:
+        """Recovery probabilities: ``[i, n, b]`` is |<b| U_psi_i U_s |psi_i>|^2
+        for s = SECRETS[n] and outcome b = SECRETS[b].
+
+        Shape (k, 4, 4), read-only, built with the set.
+        """
+        return self._recovery
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "states": complex_to_json(self.states)}

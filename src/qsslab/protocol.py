@@ -216,18 +216,47 @@ def estimate_detection(cfg: RoundConfig, strategy, rounds: int) -> tuple[float, 
     return detection_rate(tally_rounds(cfg, strategy, rounds)[0])
 
 
-@dataclass
 class ExactDistribution:
     """Exact outcome table and the security margins derived from it.
 
     ``table`` maps (mode, s, nonce_index, b) -> probability with 1-based
-    nonce indices; entries sum to 1.
+    nonce indices; entries sum to 1.  The exact engine passes its
+    (mode, s, nonce, b) probability ``grid`` instead, and the dict is built
+    from the grid's nonzero cells on first access.  Two distributions are
+    equal when their tables, margins and verdict masses are.
     """
 
-    table: dict
-    p_detect: float
-    p_eve_knows_secret: float
-    verdict_probs: dict
+    def __init__(self, table: dict | None, p_detect: float, p_eve_knows_secret: float,
+                 verdict_probs: dict, *, grid: np.ndarray | None = None):
+        self._table = table
+        self._grid = grid
+        self.p_detect = p_detect
+        self.p_eve_knows_secret = p_eve_knows_secret
+        self.verdict_probs = verdict_probs
+
+    @property
+    def table(self) -> dict:
+        if self._table is None:
+            cells = np.nonzero(self._grid)
+            self._table = {
+                (MODES[m], SECRETS[s], i + 1, SECRETS[b]): p
+                for m, s, i, b, p in zip(*(idx.tolist() for idx in cells),
+                                         self._grid[cells].tolist())
+            }
+        return self._table
+
+    def _fields(self) -> tuple:
+        return self.table, self.p_detect, self.p_eve_knows_secret, self.verdict_probs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (f"ExactDistribution(p_detect={self.p_detect!r}, "
+                f"p_eve_knows_secret={self.p_eve_knows_secret!r}, "
+                f"verdict_probs={self.verdict_probs!r})")
 
 
 # Stage IV verdict of every (mode, s, b) as an index into VERDICTS, axes
@@ -261,23 +290,22 @@ def _exact_blocks(nonce_set: NonceSet, strategy, s: str):
                    np.array([learned], dtype=object))
 
 
-def outcome_distribution(nonce_set: NonceSet, strategy, mode_prior: float = 0.5) -> ExactDistribution:
-    """Exact verdict statistics by enumerating every discrete draw.
+def accumulate_exact(nonce_set: NonceSet, blocks, mode_prior: float = 0.5):
+    """Enumerate every discrete draw into ``(grid, masses, p_eve)``.
 
-    The strategy must expose ``exact_branches(nonce_set, i, s)`` returning
-    ``(probability, joint_state_entering_stage_III, learned_secret)``
-    triples, or ``exact_block(nonce_set, s)`` returning the same for every
-    nonce at once as arrays (see ``qsslab.adversary``).  Within SECRET mode
-    the dealer's secret bit is averaged uniformly, matching a RoundConfig
-    with ``secret_bit=None``.
+    ``blocks(s)`` yields the ``(first, weights, joints, learned)`` blocks of
+    secret s, as ``_exact_blocks`` does.  ``grid`` is the (mode, s, nonce, b)
+    probability array, ``masses`` the probability of each verdict in
+    ``VERDICTS`` order and ``p_eve`` the probability that Eve's learned
+    secret is the dealer's s.  Within SECRET mode the dealer's secret bit is
+    averaged uniformly, matching a RoundConfig with ``secret_bit=None``.
 
     Each block of draws maps its branches to (nonce, branch, b) probability
-    mass with one matmul.  Its sums over branches fill rows of a (mode, s,
-    nonce, b) grid, from which the table is read; ``np.add.at`` adds the
-    block to the verdict masses through ``_VERDICT_INDEX``, and Eve's hits
-    are added one by one, all in the (mode, s, nonce, branch, b) order of a
-    scalar loop, so sums round alike however the draws are blocked.  A
-    branch of weight 0 adds exact zeros.
+    mass with one matmul.  Its sums over branches fill rows of the grid;
+    ``np.add.at`` adds the block to the verdict masses through
+    ``_VERDICT_INDEX``, and Eve's hits are added one by one, all in the
+    (mode, s, nonce, branch, b) order of a scalar loop, so sums round alike
+    however the draws are blocked.  A branch of weight 0 adds exact zeros.
     """
     if not 0.0 <= mode_prior <= 1.0:
         raise ValidationError(f"mode_prior must be in [0, 1], got {mode_prior}")
@@ -291,10 +319,8 @@ def outcome_distribution(nonce_set: NonceSet, strategy, mode_prior: float = 0.5)
         base = p_mode * 0.5 / k
         for s in MODE_SECRETS[mode]:
             row = grid[m, SECRETS.index(s)]
-            # Verdict index of each (branch, b) cell; a broadcast view, sliced
-            # per block and widened if a block has more branches.
-            verdicts = np.broadcast_to(_VERDICT_INDEX[m, SECRETS.index(s)], (4 * k, 4))
-            for first, p_branch, joints, learned in _exact_blocks(nonce_set, strategy, s):
+            verdict_of_b = _VERDICT_INDEX[m, SECRETS.index(s)][None]
+            for first, p_branch, joints, learned in blocks(s):
                 stop = first + len(p_branch)
                 weights = np.multiply(base, p_branch)
                 # (rows, 1, 4, 4) @ (rows, n, 4, 1): one matrix-vector product per branch.
@@ -302,20 +328,28 @@ def outcome_distribution(nonce_set: NonceSet, strategy, mode_prior: float = 0.5)
                 block = weights[..., None] * (np.abs(out[..., 0]) ** 2)
                 block.sum(axis=1, out=row[first:stop])
                 flat = block.reshape(-1, 4)
-                if len(flat) > len(verdicts):
-                    verdicts = np.broadcast_to(verdicts[0], flat.shape)
-                np.add.at(masses, verdicts[:len(flat)], flat)
+                np.add.at(masses, verdict_of_b.repeat(len(flat), axis=0), flat)
                 for w in weights[np.asarray(learned) == s].tolist():
                     p_eve += w
+    return grid, masses, p_eve
+
+
+def outcome_distribution(nonce_set: NonceSet, strategy, mode_prior: float = 0.5) -> ExactDistribution:
+    """Exact verdict statistics by enumerating every discrete draw.
+
+    The strategy must expose ``exact_branches(nonce_set, i, s)`` returning
+    ``(probability, joint_state_entering_stage_III, learned_secret)``
+    triples, or ``exact_block(nonce_set, s)`` returning the same for every
+    nonce at once as arrays (see ``qsslab.adversary``).  The sums are
+    ``accumulate_exact``'s.
+    """
+    grid, masses, p_eve = accumulate_exact(
+        nonce_set, lambda s: _exact_blocks(nonce_set, strategy, s), mode_prior)
     verdict_probs = {v: float(masses[n]) for n, v in enumerate(VERDICTS)}
-    cells = np.nonzero(grid)
-    table = {
-        (MODES[m], SECRETS[s], i + 1, SECRETS[b]): p
-        for m, s, i, b, p in zip(*(idx.tolist() for idx in cells), grid[cells].tolist())
-    }
     return ExactDistribution(
-        table=table,
+        None,
         p_detect=verdict_probs[EAVESDROPPER_DETECTED],
         p_eve_knows_secret=p_eve,
         verdict_probs=verdict_probs,
+        grid=grid,
     )

@@ -458,7 +458,9 @@ class TestCopies:
         ns = builtin_nonce_set(name)
         twin = COPIES[how](ns)
         for got, want in ((twin.states, ns.states), (twin.reflections, ns.reflections),
-                          (twin.share_stack(), ns.share_stack())):
+                          (twin.share_stack(), ns.share_stack()),
+                          (twin.reduced_share_stack(), ns.reduced_share_stack()),
+                          (twin.recovery_stack(), ns.recovery_stack())):
             _assert_same_read_only(got, want)
         assert twin.to_json_dict() == ns.to_json_dict()
 

@@ -15,7 +15,7 @@ from qsslab.analysis import (
     r_of_s,
     recovery_amplitude,
 )
-from qsslab.errors import ValidationError
+from qsslab.errors import CertificationError, ValidationError
 from qsslab.linalg import (
     TOL,
     bloch_from_density,
@@ -278,6 +278,15 @@ class TestDetectionBounds:
         bounds = detection_bounds(hsu_set)
         assert bounds["floor"] == pytest.approx(0.0, abs=1e-12)
         assert bounds["ceiling"] <= 0.625 + TOL
+
+    def test_refuses_non_recoverable_set(self):
+        with pytest.raises(CertificationError, match="not recoverable"):
+            detection_bounds(BASIS_00_SET)
+
+    @pytest.mark.parametrize("prior", [1.5, float("nan")])
+    def test_rejects_mode_prior_outside_unit_interval(self, proposed_set, prior):
+        with pytest.raises(ValidationError, match="mode_prior must be in"):
+            detection_bounds(proposed_set, mode_prior=prior)
 
 
 class TestCertify:

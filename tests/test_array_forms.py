@@ -171,6 +171,20 @@ class TestStackedUnitaryCheck:
         with pytest.raises(ValidationError, match="^v_table entry 3,01: matrix is not unitary"):
             AttackPlan(alpha=np.array([1, 0, 0, 0], dtype=complex), v_table=table)
 
+    def test_plan_from_unitaries_validates_like_a_table(self):
+        plan = synthesize_plan(_phase_set(5, 12), "target-secret")
+        twin = AttackPlan(alpha=plan.alpha, v_table=dict(plan.v_table), policy=plan.policy)
+        assert twin.unitaries.tobytes() == plan.unitaries.tobytes()
+        bad = plan.unitaries.copy()
+        bad[2, 1] = [[1, 1], [0, 1]]
+        with pytest.raises(ValidationError, match="^v_table entry 3,01: matrix is not unitary"):
+            AttackPlan(alpha=plan.alpha, unitaries=bad)
+        with pytest.raises(ValidationError, match=r"\(K, 4, 2, 2\) stack"):
+            AttackPlan(alpha=plan.alpha, unitaries=plan.unitaries[:, :2])
+        for tables in ({}, {"v_table": {}, "unitaries": plan.unitaries}):
+            with pytest.raises(ValidationError, match="exactly one of"):
+                AttackPlan(alpha=plan.alpha, **tables)
+
     def test_plan_with_empty_v_table_constructs(self):
         plan = AttackPlan(alpha=np.array([1, 0, 0, 0], dtype=complex), v_table={},
                           policy="target-01")

@@ -327,6 +327,8 @@ _SIM = ["simulate", "--nonces", "builtin:proposed-J", "--strategy", "honest"]
      'name_object.json: "name" must be a string, got dict'),
     (_SIM[:4] + ["ifr:{tmp}/padded_plan.json", "--rounds", "5"], {}, 2,
      "padded_plan.json: v_table key '01,00' must read"),
+    (_SIM[:4] + ["ifr:{tmp}/long_index_plan.json", "--rounds", "5"], {}, 2,
+     "long_index_plan.json: v_table key '11111111111111111111"),
 ])
 def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, argv, env, code, message):
     (tmp_path / "states5.json").write_text(json.dumps({"name": "x", "states": 5}))
@@ -347,6 +349,10 @@ def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, argv, env, code, me
     (tmp_path / "holed_plan.json").write_text(json.dumps(plan))
     plan["v_table"]["3,01"] = plan["v_table"]["01,00"] = plan["v_table"]["1,00"]
     (tmp_path / "padded_plan.json").write_text(json.dumps(plan))
+    # An index longer than Python's int() digit limit (4300 by default).
+    del plan["v_table"]["01,00"]
+    plan["v_table"]["1" * 5000 + ",00"] = plan["v_table"]["1,00"]
+    (tmp_path / "long_index_plan.json").write_text(json.dumps(plan))
     (tmp_path / "alpha5.json").write_text(json.dumps([[0.5, 0.0]] * 4 + [[0.0, 0.0]]))
     huge = [[1e200, 0.0]] + [[0.5, 0.0]] * 3
     (tmp_path / "huge_state.json").write_text(json.dumps({"name": "x", "states": [huge]}))

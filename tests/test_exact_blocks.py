@@ -3,14 +3,17 @@
 The exact engine takes one ``exact_block`` per (mode, s) from the builtin
 honest and intercept-fake-resend strategies, and one block per nonce from
 any other strategy.  Both routes must give the same table, verdict masses
-and Eve's hit probability bit for bit (``==``, not approx).
+and Eve's hit probability bit for bit (``==``, not approx).  The numbers
+``detection_bounds`` sums from each plan's block, without a strategy,
+must equal the exact tables of the plans' IFR strategies the same way.
 """
 import numpy as np
 import pytest
 
 from qsslab.adversary import AttackPlan, honest_strategy, ifr_strategy, synthesize_plan
+from qsslab.analysis import detection_bounds
 from qsslab.nonces import NonceSet, SECRETS, builtin_nonce_set
-from qsslab.protocol import outcome_distribution
+from qsslab.protocol import RETIRED, outcome_distribution
 from oracles import haar_state, haar_unitaries
 
 PRIORS = (0.0, 0.3, 0.5, 1.0)
@@ -57,6 +60,23 @@ def test_block_path_equals_branch_path(label):
             _assert_bitwise_same(outcome_distribution(ns, strat, mode_prior=prior),
                                  outcome_distribution(ns, _BranchesOnly(strat), mode_prior=prior),
                                  f"{ns.name} k={len(ns)} prior={prior}")
+
+
+@pytest.mark.parametrize("prior", PRIORS)
+def test_detection_bounds_equal_the_strategy_route(prior):
+    sets = [builtin_nonce_set("hsu-I"), builtin_nonce_set("proposed-J")] + _phase_sets(64)
+    assert {len(ns) for ns in sets} >= set(range(1, 65))
+    for ns in sets:
+        where = f"{ns.name} k={len(ns)} prior={prior}"
+        dists = {policy: outcome_distribution(ns, ifr_strategy(synthesize_plan(ns, policy), ns),
+                                              mode_prior=prior)
+                 for policy in ("target-secret", "target-01")}
+        per_policy = {policy: dist.p_detect for policy, dist in dists.items()}
+        success01 = dists["target-01"].verdict_probs[RETIRED] / prior if prior > 0.0 else 0.0
+        bounds = detection_bounds(ns, prior)
+        assert bounds["per_policy"] == per_policy, where
+        assert bounds["floor"] == min(per_policy.values()), where
+        assert bounds["ceiling"] == 1.0 - prior * success01, where
 
 
 @pytest.mark.parametrize("k", [1, 3, 16])
