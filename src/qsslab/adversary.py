@@ -24,8 +24,8 @@ intercept-fake-resend strategy reads its arrays without keeping a copy.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -170,99 +170,74 @@ class ImrGuessStrategy:
                 for p, row, b in _recovery_outcomes(nonce_set.reflections[first:stop], share)]
 
 
-class _PlanTable(Mapping):
-    """Read-only ``(nonce, secret) -> unitary`` view of a plan's stack, in
-    plan order; each value is a view into the stack."""
-
-    def __init__(self, unitaries: np.ndarray):
-        self._unitaries = unitaries
-
-    def __getitem__(self, key):
-        try:
-            i, s = key
-            if s in SECRETS and i in range(len(self._unitaries)):
-                return self._unitaries[int(i), SECRETS.index(s)]
-        except (TypeError, ValueError):
-            pass
-        raise KeyError(key)
-
-    def __iter__(self):
-        return ((i, s) for i in range(len(self._unitaries)) for s in SECRETS)
-
-    def __len__(self) -> int:
-        return 4 * len(self._unitaries)
-
-
-class _EntryNames:
-    """``validate_unitary`` names for a plan's stack: matrix j is ``v_table
-    entry <nonce>,<secret>``, formatted only when a check fails."""
-
-    def __getitem__(self, j: int) -> str:
-        return f"v_table entry {j // 4 + 1},{SECRETS[j % 4]}"
-
-
-def _table_stack(v_table) -> tuple[np.ndarray, tuple | None]:
-    """A ``(nonce, secret) -> 2x2`` dict as a plan's (k, 4, 2, 2) stack, and
-    the first (nonce, secret) of plan order that it misses, or None.
-
-    k nonces take 4k keys, so a hole or a stray key leaves a gap below k.
-    Holes hold the identity, so the stack validates like a whole one.
-    """
-    keys = [(int(i), validate_secret(s)) for i, s in v_table]
-    try:
-        mats = np.array(list(v_table.values()), dtype=complex)
-    except (TypeError, ValueError):
-        mats = None
-    if keys and (mats is None or mats.shape != (len(keys), 2, 2)):
-        raise ValidationError("every v_table entry must be a 2x2 matrix")
-    row = {key: j for j, key in enumerate(keys)}
-    order = [(i, s) for i in range(-(-len(row) // 4)) for s in SECRETS]
-    # The identity is the last row, where a hole's index -1 points.
-    held = np.concatenate([mats.reshape(-1, 2, 2), np.eye(2, dtype=complex)[None]])
-    stack = held[[row.get(key, -1) for key in order]].reshape(-1, 4, 2, 2)
-    return stack, next((key for key in order if key not in row), None)
-
-
 @dataclass(frozen=True, eq=False)
 class AttackPlan:
     """Eve's committed fake state plus her table of steering unitaries.
 
-    ``unitaries[i, n]`` is the 2x2 unitary Eve applies to her half of
-    ``alpha`` once she has reconstructed s = SECRETS[n] of 0-based nonce i
-    at Stage II; the (K, 4, 2, 2) stack covers every secret of nonces
-    0..K-1.  Give it as ``unitaries``, or as a ``v_table`` dict from
-    (nonce, secret) to unitary, which becomes that stack and is validated
-    the same way.  Validated once into read-only arrays ``alpha``,
-    ``unitaries`` and ``steered`` (K, 4, 4), the states (V x I)|alpha>;
-    ``v_table`` becomes a read-only mapping of views into ``unitaries``.
+    ``v_table`` maps (0-based nonce index, computed secret) to the 2x2
+    unitary Eve applies to her half of ``alpha`` once she has reconstructed
+    the secret at Stage II; it must cover every secret of nonces 0..K-1.
+    Validated once into read-only arrays ``alpha``, ``unitaries`` (K, 4, 2, 2)
+    and ``steered`` (K, 4, 4), the states (V x I)|alpha>, ``[i, n]`` for
+    s = SECRETS[n]; ``v_table`` becomes a read-only view of ``unitaries``.
+    ``synthesize_plan`` gives the unitaries as that stack, with no dict, and
+    they are checked the same way.
     """
 
     alpha: np.ndarray = field(repr=False)
-    v_table: Mapping | None = field(default=None, repr=False)
+    v_table: MappingProxyType = field(repr=False)
     policy: str = POLICY_TARGET_SECRET
-    unitaries: np.ndarray | None = field(default=None, repr=False)
+    unitaries: np.ndarray = field(init=False, repr=False)
     steered: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, unitaries: np.ndarray | None = None):
         alpha = validate_state(self.alpha, dim=4, what="alpha")
         if self.policy not in POLICIES:
             raise ValidationError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        if (self.v_table is None) == (self.unitaries is None):
-            raise ValidationError("an attack plan takes exactly one of v_table and unitaries")
-        gap = None
-        if self.v_table is not None:
-            unitaries, gap = _table_stack(self.v_table)
+        if unitaries is None:
+            unitaries = self._table_unitaries()
         else:
-            unitaries = np.array(self.unitaries, dtype=complex)
-            if unitaries.ndim != 4 or unitaries.shape[1:] != (4, 2, 2):
-                raise ValidationError(
-                    f"unitaries must be a (K, 4, 2, 2) stack, got shape {unitaries.shape}")
-        validate_unitary(unitaries, dim=2, names=_EntryNames())
+            # A C-ordered copy, so that v_table's entries are views into it.
+            unitaries = np.array(unitaries, dtype=complex, order="C")
+            try:
+                validate_unitary(unitaries, dim=2)
+            except ValidationError:
+                # Name the bad entry; the names are formatted only on failure.
+                validate_unitary(unitaries, dim=2, names=[
+                    f"v_table entry {i + 1},{s}" for i in range(len(unitaries)) for s in SECRETS])
+                raise
+        steered = (unitaries @ alpha.reshape(2, 2)).reshape(-1, 4, 4)
+        self.__setstate__({"alpha": alpha, "unitaries": unitaries, "steered": steered})
+
+    @classmethod
+    def _from_unitaries(cls, alpha, unitaries: np.ndarray, policy: str) -> AttackPlan:
+        """The plan of a (K, 4, 2, 2) complex stack, ``[i, n]`` for
+        s = SECRETS[n], validated like a ``v_table``."""
+        plan = cls.__new__(cls)
+        object.__setattr__(plan, "alpha", alpha)
+        object.__setattr__(plan, "policy", policy)
+        plan.__post_init__(unitaries)
+        return plan
+
+    def _table_unitaries(self) -> np.ndarray:
+        """``v_table`` validated into the (K, 4, 2, 2) stack in plan order."""
+        keys = [(int(i), validate_secret(s)) for i, s in self.v_table]
+        try:
+            stack = np.array(list(self.v_table.values()), dtype=complex)
+        except (TypeError, ValueError):
+            stack = None
+        if keys and (stack is None or stack.shape != (len(keys), 2, 2)):
+            raise ValidationError("every v_table entry must be a 2x2 matrix")
+        stack = validate_unitary(stack.reshape(-1, 2, 2), dim=2,
+                                 names=[f"v_table entry {i + 1},{s}" for i, s in keys])
+        row = {key: j for j, key in enumerate(keys)}
+        # k nonces take 4k keys, so a hole or a stray key leaves a gap below k.
+        order = [(i, s) for i in range(-(-len(row) // 4)) for s in SECRETS]
+        gap = next((key for key in order if key not in row), None)
         if gap is not None:
             raise PlanIncompleteError(
                 f"attack plan has no unitary for nonce {gap[0] + 1}, secret {gap[1]}")
-        steered = (unitaries @ alpha.reshape(2, 2)).reshape(-1, 4, 4)
-        self.__setstate__({"alpha": alpha, "unitaries": unitaries, "steered": steered})
+        return stack[[row[key] for key in order]].reshape(-1, 4, 2, 2)
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k != "v_table"}
@@ -274,7 +249,9 @@ class AttackPlan:
         validating alpha again would renormalize it and can move its last bit.
         """
         set_frozen(self, **state)
-        object.__setattr__(self, "v_table", _PlanTable(self.unitaries))
+        order = [(i, s) for i in range(len(self.unitaries)) for s in SECRETS]
+        object.__setattr__(self, "v_table",
+                           MappingProxyType(dict(zip(order, self.unitaries.reshape(-1, 2, 2)))))
 
     def __len__(self) -> int:
         return len(self.unitaries)
@@ -384,17 +361,9 @@ class IfrStrategy:
         learns SECRETS[b] with the recovery probability of outcome b."""
         _check_same_set(self._nonce_set, nonce_set)
         self.plan.validate_for(nonce_set)
-        return ifr_block(nonce_set, self.plan, s)
-
-
-def ifr_block(nonce_set: NonceSet, plan: AttackPlan, s: str):
-    """Intercept-fake-resend branches of every nonce for secret s, as
-    ``(weights, joints, learned)``: branch b of nonce i learns SECRETS[b]
-    with the recovery probability of outcome b, and forwards the plan's
-    ``steered[i, b]``.  The plan must cover the set."""
-    probs = nonce_set.recovery_stack()[:, SECRETS.index(validate_secret(s))]
-    weights = np.where(probs > _MIN_OUTCOME_P, probs, 0.0)
-    return weights, plan.steered[:len(weights)], _LEARNED.repeat(len(weights), axis=0)
+        probs = nonce_set.recovery_stack()[:, SECRETS.index(validate_secret(s))]
+        weights = np.where(probs > _MIN_OUTCOME_P, probs, 0.0)
+        return weights, self.plan.steered[:len(weights)], _LEARNED.repeat(len(weights), axis=0)
 
 
 honest_strategy = HonestStrategy
@@ -456,7 +425,7 @@ def synthesize_plan(nonce_set: NonceSet, policy: str,
         alpha = validate_state(alpha, dim=4, what="alpha")
     targets = [SECRETS.index(policy_target(policy, s, target_map)) for s in SECRETS]
     v, _ = max_overlap_unitary(alpha, nonce_set.share_stack()[:, targets])
-    return AttackPlan(alpha=alpha, unitaries=v, policy=policy)
+    return AttackPlan._from_unitaries(alpha, v, policy)
 
 
 def plan_overlaps(plan: AttackPlan, nonce_set: NonceSet,

@@ -319,23 +319,21 @@ def detection_bounds(nonce_set: NonceSet, mode_prior: float = 0.5) -> dict:
     ``ceiling`` is 1 - (probability of a SECRET-mode round) times the
     probability that the fixed-target plan forces an opposite-bit outcome;
     ``floor`` is the smallest exact detection probability among the shipped
-    plan policies.  Requires a recoverable nonce set.  Each policy's
-    numbers are the exact engine's sums over its plan's ``steered`` stack,
-    those ``outcome_distribution`` gives for the plan's IFR strategy.
+    plan policies.  Requires a recoverable nonce set.
     """
     from . import adversary
-    from .protocol import EAVESDROPPER_DETECTED, RETIRED, VERDICTS, accumulate_exact
+    from .protocol import RETIRED, outcome_distribution
 
     per_policy = {}
     success01 = 0.0
     for policy in (adversary.POLICY_TARGET_SECRET, adversary.POLICY_TARGET_01):
         plan = adversary.synthesize_plan(nonce_set, policy)
-        _, masses, _ = accumulate_exact(
-            nonce_set, lambda s: [(0, *adversary.ifr_block(nonce_set, plan, s))], mode_prior)
-        per_policy[policy] = float(masses[VERDICTS.index(EAVESDROPPER_DETECTED)])
+        strat = adversary.ifr_strategy(plan, nonce_set)
+        dist = outcome_distribution(nonce_set, strat, mode_prior=mode_prior)
+        per_policy[policy] = dist.p_detect
         if policy == adversary.POLICY_TARGET_01 and mode_prior > 0.0:
             # RETIRED is exactly a SECRET-mode round that measured 01 or 10.
-            success01 = float(masses[VERDICTS.index(RETIRED)]) / mode_prior
+            success01 = dist.verdict_probs[RETIRED] / mode_prior
     return {
         "floor": min(per_policy.values()),
         "ceiling": 1.0 - mode_prior * success01,

@@ -290,22 +290,23 @@ def _exact_blocks(nonce_set: NonceSet, strategy, s: str):
                    np.array([learned], dtype=object))
 
 
-def accumulate_exact(nonce_set: NonceSet, blocks, mode_prior: float = 0.5):
-    """Enumerate every discrete draw into ``(grid, masses, p_eve)``.
+def outcome_distribution(nonce_set: NonceSet, strategy, mode_prior: float = 0.5) -> ExactDistribution:
+    """Exact verdict statistics by enumerating every discrete draw.
 
-    ``blocks(s)`` yields the ``(first, weights, joints, learned)`` blocks of
-    secret s, as ``_exact_blocks`` does.  ``grid`` is the (mode, s, nonce, b)
-    probability array, ``masses`` the probability of each verdict in
-    ``VERDICTS`` order and ``p_eve`` the probability that Eve's learned
-    secret is the dealer's s.  Within SECRET mode the dealer's secret bit is
-    averaged uniformly, matching a RoundConfig with ``secret_bit=None``.
+    The strategy must expose ``exact_branches(nonce_set, i, s)`` returning
+    ``(probability, joint_state_entering_stage_III, learned_secret)``
+    triples, or ``exact_block(nonce_set, s)`` returning the same for every
+    nonce at once as arrays (see ``qsslab.adversary``).  Within SECRET mode
+    the dealer's secret bit is averaged uniformly, matching a RoundConfig
+    with ``secret_bit=None``.
 
     Each block of draws maps its branches to (nonce, branch, b) probability
-    mass with one matmul.  Its sums over branches fill rows of the grid;
-    ``np.add.at`` adds the block to the verdict masses through
-    ``_VERDICT_INDEX``, and Eve's hits are added one by one, all in the
-    (mode, s, nonce, branch, b) order of a scalar loop, so sums round alike
-    however the draws are blocked.  A branch of weight 0 adds exact zeros.
+    mass with one matmul.  Its sums over branches fill rows of a (mode, s,
+    nonce, b) grid, from which the table is read; ``np.add.at`` adds the
+    block to the verdict masses through ``_VERDICT_INDEX``, and Eve's hits
+    are added one by one, all in the (mode, s, nonce, branch, b) order of a
+    scalar loop, so sums round alike however the draws are blocked.  A
+    branch of weight 0 adds exact zeros.
     """
     if not 0.0 <= mode_prior <= 1.0:
         raise ValidationError(f"mode_prior must be in [0, 1], got {mode_prior}")
@@ -320,7 +321,7 @@ def accumulate_exact(nonce_set: NonceSet, blocks, mode_prior: float = 0.5):
         for s in MODE_SECRETS[mode]:
             row = grid[m, SECRETS.index(s)]
             verdict_of_b = _VERDICT_INDEX[m, SECRETS.index(s)][None]
-            for first, p_branch, joints, learned in blocks(s):
+            for first, p_branch, joints, learned in _exact_blocks(nonce_set, strategy, s):
                 stop = first + len(p_branch)
                 weights = np.multiply(base, p_branch)
                 # (rows, 1, 4, 4) @ (rows, n, 4, 1): one matrix-vector product per branch.
@@ -331,20 +332,6 @@ def accumulate_exact(nonce_set: NonceSet, blocks, mode_prior: float = 0.5):
                 np.add.at(masses, verdict_of_b.repeat(len(flat), axis=0), flat)
                 for w in weights[np.asarray(learned) == s].tolist():
                     p_eve += w
-    return grid, masses, p_eve
-
-
-def outcome_distribution(nonce_set: NonceSet, strategy, mode_prior: float = 0.5) -> ExactDistribution:
-    """Exact verdict statistics by enumerating every discrete draw.
-
-    The strategy must expose ``exact_branches(nonce_set, i, s)`` returning
-    ``(probability, joint_state_entering_stage_III, learned_secret)``
-    triples, or ``exact_block(nonce_set, s)`` returning the same for every
-    nonce at once as arrays (see ``qsslab.adversary``).  The sums are
-    ``accumulate_exact``'s.
-    """
-    grid, masses, p_eve = accumulate_exact(
-        nonce_set, lambda s: _exact_blocks(nonce_set, strategy, s), mode_prior)
     verdict_probs = {v: float(masses[n]) for n, v in enumerate(VERDICTS)}
     return ExactDistribution(
         None,

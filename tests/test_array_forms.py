@@ -1,5 +1,6 @@
 """Stacked (array-form) helpers against their one-matrix calls, and the
 exact engine's memory on a large guess table."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -171,19 +172,28 @@ class TestStackedUnitaryCheck:
         with pytest.raises(ValidationError, match="^v_table entry 3,01: matrix is not unitary"):
             AttackPlan(alpha=np.array([1, 0, 0, 0], dtype=complex), v_table=table)
 
-    def test_plan_from_unitaries_validates_like_a_table(self):
+    def test_synthesized_stack_validates_like_a_table(self):
         plan = synthesize_plan(_phase_set(5, 12), "target-secret")
         twin = AttackPlan(alpha=plan.alpha, v_table=dict(plan.v_table), policy=plan.policy)
         assert twin.unitaries.tobytes() == plan.unitaries.tobytes()
         bad = plan.unitaries.copy()
         bad[2, 1] = [[1, 1], [0, 1]]
         with pytest.raises(ValidationError, match="^v_table entry 3,01: matrix is not unitary"):
-            AttackPlan(alpha=plan.alpha, unitaries=bad)
-        with pytest.raises(ValidationError, match=r"\(K, 4, 2, 2\) stack"):
-            AttackPlan(alpha=plan.alpha, unitaries=plan.unitaries[:, :2])
-        for tables in ({}, {"v_table": {}, "unitaries": plan.unitaries}):
-            with pytest.raises(ValidationError, match="exactly one of"):
-                AttackPlan(alpha=plan.alpha, **tables)
+            AttackPlan._from_unitaries(plan.alpha, bad, plan.policy)
+
+    def test_replace_builds_the_plan_again_from_its_table(self):
+        plan = synthesize_plan(builtin_nonce_set("proposed-J"), "target-secret")
+        other = dataclasses.replace(plan, policy="target-01")
+        assert other.policy == "target-01"
+        assert other.unitaries.tobytes() == plan.unitaries.tobytes()
+
+    @pytest.mark.parametrize("key", [(2, "10"), (-1, "00")], ids=["beyond", "negative"])
+    def test_plan_names_a_bad_stray_entry(self, key):
+        table = {(i, s): np.eye(2, dtype=complex) for i in range(2) for s in SECRETS}
+        table[key] = np.array([[1, 1], [0, 1]], dtype=complex)
+        with pytest.raises(ValidationError,
+                           match=f"^v_table entry {key[0] + 1},{key[1]}: matrix is not unitary"):
+            AttackPlan(alpha=np.array([1, 0, 0, 0], dtype=complex), v_table=table)
 
     def test_plan_with_empty_v_table_constructs(self):
         plan = AttackPlan(alpha=np.array([1, 0, 0, 0], dtype=complex), v_table={},

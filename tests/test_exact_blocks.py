@@ -3,9 +3,9 @@
 The exact engine takes one ``exact_block`` per (mode, s) from the builtin
 honest and intercept-fake-resend strategies, and one block per nonce from
 any other strategy.  Both routes must give the same table, verdict masses
-and Eve's hit probability bit for bit (``==``, not approx).  The numbers
-``detection_bounds`` sums from each plan's block, without a strategy,
-must equal the exact tables of the plans' IFR strategies the same way.
+and Eve's hit probability bit for bit (``==``, not approx).  The bounds of
+``detection_bounds`` must equal the same way those read from the exact
+tables of the plans' IFR strategies.
 """
 import numpy as np
 import pytest
