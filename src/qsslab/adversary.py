@@ -66,14 +66,14 @@ def _recovery_outcomes(reflections: np.ndarray, share: np.ndarray) -> list:
             if p > _MIN_OUTCOME_P]
 
 
-def _check_same_set(bound: NonceSet | None, given: NonceSet) -> None:
+def _check_same_set(bound: NonceSet, given: NonceSet) -> None:
     """Refuse exact tables for a set other than the one the strategy plays.
 
     Sets are compared by content, states equal within ``TOL``:
     ``builtin_nonce_set`` returns a fresh object on every call, and
     re-wrapping a set's states renormalizes them, which can move last bits.
     """
-    if bound is None or given is bound:
+    if given is bound:
         return
     if (given.states.shape != bound.states.shape
             or np.abs(given.states - bound.states).max() > TOL):
@@ -115,37 +115,29 @@ class ImrGuessStrategy:
     Eve intercepts both qubits, applies the reflection about her guessed
     nonce, measures to obtain s', and resends the reconstruction
     U_{s'}|psi_guess>, keeping its Eve-side qubit for Stage III.  The guess
-    is a fixed 0-based index or "uniform-random" for a fresh draw per
-    round.
+    is a fixed 0-based index into ``nonce_set`` or "uniform-random" for a
+    fresh draw per round.
     """
 
-    def __init__(self, guess: int | str = "uniform-random", nonce_set: NonceSet | None = None):
-        if guess != "uniform-random" and not isinstance(guess, (int, np.integer)):
-            raise ValidationError(f"guess must be an index or 'uniform-random', got {guess!r}")
+    def __init__(self, guess: int | str, nonce_set: NonceSet):
+        if guess != "uniform-random":
+            # bool is an int subclass, but True is no nonce index.
+            if isinstance(guess, bool) or not isinstance(guess, (int, np.integer)):
+                raise ValidationError(f"guess must be an index or 'uniform-random', got {guess!r}")
+            if not 0 <= guess < len(nonce_set):
+                raise ValidationError(
+                    f"guess index {guess} out of range for nonce set of size {len(nonce_set)}")
         self.guess = guess
-        self.nonce_set = None
+        self.nonce_set = nonce_set
         self.learned_secret = None
         self._round_guess = None
         self.name = f"imr-guess:{guess if guess == 'uniform-random' else int(guess) + 1}"
-        if nonce_set is not None:
-            self._bind(nonce_set)
-
-    def _bind(self, nonce_set: NonceSet):
-        _check_same_set(self.nonce_set, nonce_set)
-        if self.nonce_set is None:
-            self.nonce_set = nonce_set
-        if self.guess != "uniform-random" and not 0 <= self.guess < len(self.nonce_set):
-            raise ValidationError(
-                f"guess index {self.guess} out of range for nonce set of size {len(self.nonce_set)}"
-            )
 
     def begin_round(self):
         self.learned_secret = None
         self._round_guess = None
 
     def intercept(self, share, rng):
-        if self.nonce_set is None:
-            raise ValidationError("ImrGuessStrategy needs a nonce set; pass one at construction")
         j = self.guess
         if j == "uniform-random":
             j = int(rng.integers(0, len(self.nonce_set)))
@@ -158,7 +150,7 @@ class ImrGuessStrategy:
         return None
 
     def exact_branches(self, nonce_set, i, s):
-        self._bind(nonce_set)
+        _check_same_set(self.nonce_set, nonce_set)
         share = share_state(nonce_set.states[i], s)
         if self.guess == "uniform-random":
             first, stop = 0, len(nonce_set)
@@ -315,23 +307,16 @@ class IfrStrategy:
     certainty, so ``learned_secret`` always equals s there.
     """
 
-    def __init__(self, plan: AttackPlan, nonce_set: NonceSet | None = None):
+    def __init__(self, plan: AttackPlan, nonce_set: NonceSet):
+        plan.validate_for(nonce_set)
         self.plan = plan
         self.learned_secret = None
         self._retained = None
         # The engine announces only an index, so the strategy keeps a
-        # reference to the (public) nonce set it is playing against.
-        self._nonce_set = None
-        self.name = f"ifr:{plan.policy}"
-        if nonce_set is not None:
-            self.bind(nonce_set)
-
-    def bind(self, nonce_set: NonceSet) -> "IfrStrategy":
-        """Play against ``nonce_set``, which the plan must cover.  Every hook
-        reads the plan's read-only arrays, so binding copies nothing."""
-        self.plan.validate_for(nonce_set)
+        # reference to the (public) nonce set it is playing against.  Every
+        # hook reads the plan's read-only arrays, so nothing is copied.
         self._nonce_set = nonce_set
-        return self
+        self.name = f"ifr:{plan.policy}"
 
     def begin_round(self):
         self.learned_secret = None
@@ -344,14 +329,11 @@ class IfrStrategy:
     def nonce_announced(self, i, rng):
         if self._retained is None:
             raise ValidationError("nonce announced before interception")
-        if self._nonce_set is None:
-            raise ValidationError("IfrStrategy must be bound to a nonce set before simulation")
         self.learned_secret = sample_outcome(self._nonce_set.reflections[i] @ self._retained, rng)
         return self.plan.lookup(i, self.learned_secret)
 
     def exact_branches(self, nonce_set, i, s):
         _check_same_set(self._nonce_set, nonce_set)
-        self.plan.validate_for(nonce_set)
         share = share_state(nonce_set.states[i], s)
         return [(p, self.plan.steered[i, b], SECRETS[b])
                 for p, _, b in _recovery_outcomes(nonce_set.reflections[i:i + 1], share)]
@@ -360,7 +342,6 @@ class IfrStrategy:
         """``exact_branches`` for every nonce at once: branch b of nonce i
         learns SECRETS[b] with the recovery probability of outcome b."""
         _check_same_set(self._nonce_set, nonce_set)
-        self.plan.validate_for(nonce_set)
         probs = nonce_set.recovery_stack()[:, SECRETS.index(validate_secret(s))]
         weights = np.where(probs > _MIN_OUTCOME_P, probs, 0.0)
         return weights, self.plan.steered[:len(weights)], _LEARNED.repeat(len(weights), axis=0)
@@ -384,21 +365,17 @@ def policy_target(policy: str, s: str, target_map: dict | None = None) -> str:
     raise ValidationError(f"unknown policy {policy!r}")
 
 
-def _optimizer_state(nonce_set: NonceSet, policy: str, target_map: dict | None) -> np.ndarray:
-    """The single-qubit state whose purification Eve commits to.
-
-    Eve fixes alpha before she learns anything, so this is the maximizer of
-    the average fidelity against Bob's reduced shares over every (nonce,
-    secret) pair, each share taken for the policy's target of that secret.
-    For a fixed-target policy that is the R(target) optimizer.  More
-    generally, when every target's maximizer is the same state (I/2 for
-    both builtin sets) the average keeps it, because an average of concave
-    objectives that share a maximizer is maximized there too.
-    """
-    sigmas = np.concatenate([
-        analysis.bob_reduced_shares(nonce_set, policy_target(policy, s, target_map))
-        for s in SECRETS
-    ])
+def _optimizer_state(nonce_set: NonceSet, targets: list) -> np.ndarray:
+    """The single-qubit state whose purification Eve commits to, given the
+    index into SECRETS of the target of each secret."""
+    # Eve fixes alpha before she learns anything, so this is the maximizer
+    # of the average fidelity against Bob's reduced shares over every
+    # (nonce, secret) pair, each share taken for the policy's target of that
+    # secret.  For a fixed-target policy that is the R(target) optimizer.
+    # More generally, when every target's maximizer is the same state (I/2
+    # for both builtin sets) the average keeps it, because an average of
+    # concave objectives that share a maximizer is maximized there too.
+    sigmas = nonce_set.reduced_share_stack()[:, targets].swapaxes(0, 1).reshape(-1, 2, 2)
     return analysis.max_average_fidelity(sigmas)[1]
 
 
@@ -419,11 +396,11 @@ def synthesize_plan(nonce_set: NonceSet, policy: str,
             "nonce set is not recoverable (worst overlap deviation "
             f"{deviation:.3g}); attack synthesis assumes recoverability"
         )
+    targets = [SECRETS.index(policy_target(policy, s, target_map)) for s in SECRETS]
     if alpha is None:
-        alpha = canonical_purification(_optimizer_state(nonce_set, policy, target_map))
+        alpha = canonical_purification(_optimizer_state(nonce_set, targets))
     else:
         alpha = validate_state(alpha, dim=4, what="alpha")
-    targets = [SECRETS.index(policy_target(policy, s, target_map)) for s in SECRETS]
     v, _ = max_overlap_unitary(alpha, nonce_set.share_stack()[:, targets])
     return AttackPlan._from_unitaries(alpha, v, policy)
 

@@ -43,8 +43,6 @@ from .nonces import (
     validate_secret,
 )
 
-_GRID_STEP = 0.1
-
 
 # ---------------------------------------------------------------------------
 # Recoverability (including arbitrary two-qubit quantum secrets)
@@ -104,6 +102,8 @@ def check_recoverability(nonce_set: NonceSet, secrets=None, tol: float = TOL) ->
     the report witnesses both sides of the equivalence.
     """
     labelled, s_vecs = _labelled_secrets(secrets)                       # s_vecs: (m, 4)
+    if not labelled:
+        raise ValidationError("need at least one secret")
     states = nonce_set.states                                           # (k, 4)
     overlaps = _overlaps(s_vecs, states)                                # (m, k)
     shares = reflection(s_vecs)[:, None] @ states[:, :, None]           # (m, k, 4, 1)
@@ -172,56 +172,7 @@ def _objective_coeffs(sigmas) -> tuple[np.ndarray, float]:
     return bloch_from_density(sigmas).mean(axis=0), float(np.sqrt(dets).mean())
 
 
-def _objective_at(points: np.ndarray, b_mean: np.ndarray, c_mean: float) -> np.ndarray:
-    norms_sq = (points * points).sum(axis=-1)
-    root = np.sqrt(np.maximum(1.0 - norms_sq, 0.0))
-    return 0.5 + 0.5 * (points @ b_mean) + c_mean * root
-
-
-def _project_to_ball(points: np.ndarray) -> np.ndarray:
-    norms = np.sqrt((points * points).sum(axis=-1, keepdims=True))
-    return points / np.maximum(norms, 1.0)
-
-
-def _grid_maximize(sigmas) -> tuple[float, np.ndarray]:
-    """Numerical maximizer of the objective: an oracle for the closed form.
-
-    Scans a coarse lattice over the Bloch ball (step 0.1, about 4.2k
-    points, built per call), then refines by pattern search.
-    """
-    b_mean, c_mean = _objective_coeffs(sigmas)
-    xs = np.linspace(-1.0, 1.0, int(round(2.0 / _GRID_STEP)) + 1)
-    pts = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1).reshape(-1, 3)
-    pts = pts[(pts * pts).sum(axis=1) <= 1.0 + 1e-12]
-    values = _objective_at(pts, b_mean, c_mean)
-    best = int(values.argmax())
-    p = pts[best]
-    value = float(values[best])
-    # Pattern search: poll a local grid at a fixed step until no move
-    # improves the (concave) objective, then shrink the step.  Unlike plain
-    # step-halving this does not bound the total travel, which matters when
-    # the optimum sits on the sphere and the coarse argmax is off in angle.
-    step = _GRID_STEP
-    offsets = np.stack(
-        np.meshgrid(*([np.arange(-2, 3)] * 3), indexing="ij"), axis=-1
-    ).reshape(-1, 3).astype(float)
-    while step > 1e-9:
-        for _ in range(10_000):
-            local = _project_to_ball(p + offsets * step)
-            vals = _objective_at(local, b_mean, c_mean)
-            j = int(vals.argmax())
-            if vals[j] <= value:
-                break
-            p, value = local[j], float(vals[j])
-        step /= 2.0
-    center = float(0.5 + c_mean)
-    if center >= value - TOL:
-        # Tie policy: prefer the maximally mixed state.
-        return center, np.zeros(3)
-    return value, p
-
-
-def max_average_fidelity(sigmas, method: str = "auto") -> tuple[float, np.ndarray]:
+def max_average_fidelity(sigmas) -> tuple[float, np.ndarray]:
     """Maximize (1/k) sum_i F(sigma_i, rho) over single-qubit states rho.
 
     Returns (value, optimizer density matrix).  At Bloch point p the
@@ -233,21 +184,10 @@ def max_average_fidelity(sigmas, method: str = "auto") -> tuple[float, np.ndarra
         R = 1/2 + sqrt(|b|^2 + 4 c^2) / 2   at   p* = b / sqrt(|b|^2 + 4 c^2).
 
     Tie policy: when R - (1/2 + c) <= TOL the maximally mixed state
-    (p* = 0) is returned with value 1/2 + c.  ``auto`` and ``fast`` both
-    use this closed form; ``fast`` additionally insists on pure inputs.
-    ``grid`` maximizes numerically (coarse lattice plus pattern search)
-    and serves as an independent oracle for the closed form.
+    (p* = 0) is returned with value 1/2 + c.
     """
     if len(sigmas) == 0:
         raise ValidationError("need at least one state")
-    sigmas = np.asarray(sigmas, dtype=complex)
-    if method not in ("auto", "fast", "grid"):
-        raise ValidationError(f"unknown method {method!r}")
-    if method == "grid":
-        value, p = _grid_maximize(sigmas)
-        return value, density_from_bloch(p)
-    if method == "fast" and not is_pure(sigmas).all():
-        raise ValidationError("fast path requires pure states")
     b_mean, c_mean = _objective_coeffs(sigmas)
     radius = float(np.sqrt(b_mean @ b_mean + 4.0 * c_mean * c_mean))
     value = 0.5 + 0.5 * radius
@@ -264,9 +204,9 @@ def bob_reduced_shares(nonce_set: NonceSet, s: str) -> np.ndarray:
     return nonce_set.reduced_share_stack()[:, SECRETS.index(validate_secret(s))]
 
 
-def r_of_s(nonce_set: NonceSet, s: str, method: str = "auto") -> tuple[float, np.ndarray]:
+def r_of_s(nonce_set: NonceSet, s: str) -> tuple[float, np.ndarray]:
     """R(s) and an attaining fake share for the given nonce set."""
-    return max_average_fidelity(bob_reduced_shares(nonce_set, s), method=method)
+    return max_average_fidelity(bob_reduced_shares(nonce_set, s))
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,11 @@ class RoundConfig:
             raise ValidationError(f"mode_prior must be in [0, 1], got {self.mode_prior}")
         if self.secret_bit not in (None, 0, 1):
             raise ValidationError(f"secret_bit must be 0, 1 or None, got {self.secret_bit}")
+        # numpy seeds need a non-negative int; bool is an int subclass.
+        if (isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, (int, np.integer))
+                or self.rng_seed < 0):
+            raise ValidationError(
+                f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
 
 
 @dataclass

@@ -26,7 +26,7 @@ from qsslab.linalg import (
     validate_state,
 )
 from qsslab.nonces import NonceSet, SECRETS, builtin_nonce_set, share_state
-from qsslab.protocol import RoundConfig, outcome_distribution, run_round, run_rounds
+from qsslab.protocol import RoundConfig, outcome_distribution, run_rounds
 from oracles import average_recovery, haar_state, haar_unitaries
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -162,13 +162,6 @@ class TestIfrStrategy:
             assert t.eve_learned_secret == t.s
             assert t.stage_two_unitary_applied
 
-    def test_unbound_strategy_raises(self, proposed_set):
-        plan = synthesize_plan(proposed_set, "target-01")
-        strat = ifr_strategy(plan)
-        cfg = RoundConfig(nonce_set=proposed_set, rng_seed=17)
-        with pytest.raises(ValidationError):
-            run_round(cfg, strat)
-
     def test_missing_entry_raises(self, proposed_set):
         plan = synthesize_plan(proposed_set, "target-secret")
         table = dict(plan.v_table)
@@ -234,7 +227,7 @@ class TestReadOnlyPlan:
         with pytest.raises(PlanIncompleteError, match="covers 4 nonces, fewer than the 16"):
             average_recovery(plan, hsu_set, "01")
         with pytest.raises(PlanIncompleteError):
-            ifr_strategy(plan).exact_block(hsu_set, "01")
+            ifr_strategy(plan, hsu_set)
 
     def test_bound_plan_cannot_be_rewritten(self, hsu_set):
         # Overwriting a bound plan's table once let the exact engine's two
@@ -312,11 +305,9 @@ class TestImrGuess:
         assert abs(p - 0.25) <= 4 * sigma
 
     def test_out_of_range_guess(self, proposed_set):
-        with pytest.raises(ValidationError):
-            imr_guess_strategy(9, proposed_set)
-        strat = imr_guess_strategy(9)
-        with pytest.raises(ValidationError):
-            strat.exact_branches(proposed_set, 0, "00")
+        for guess in (9, len(proposed_set), -1):
+            with pytest.raises(ValidationError, match="out of range"):
+                imr_guess_strategy(guess, proposed_set)
 
     def test_uniform_random_draws_fresh_guess(self, proposed_set):
         strat = imr_guess_strategy("uniform-random", proposed_set)
@@ -383,12 +374,6 @@ class TestStrategyRebind:
         with pytest.raises(ValidationError, match="hsu-I"):
             strat.exact_branches(hsu_set, 0, "00")
         assert strat.nonce_set is proposed_set
-
-    def test_imr_guess_unbound_binds_on_first_set(self, hsu_set, proposed_set):
-        strat = imr_guess_strategy(0)
-        strat.exact_branches(proposed_set, 0, "00")
-        with pytest.raises(ValidationError):
-            strat.exact_branches(hsu_set, 0, "00")
 
     def test_imr_guess_accepts_equal_contents(self, proposed_set):
         # builtin_nonce_set returns a fresh object each call

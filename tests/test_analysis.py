@@ -36,7 +36,7 @@ from qsslab.nonces import (
     reflection,
     share_state,
 )
-from oracles import haar_state, random_density
+from oracles import grid_max_average_fidelity, haar_state, random_density
 
 EYE2 = np.eye(2, dtype=complex)
 BASIS_00_SET = NonceSet(name="basis00", states=(np.array([1, 0, 0, 0], dtype=complex),))
@@ -175,20 +175,20 @@ class TestRofS:
 
     def test_grid_path_matches_fast_path_builtin(self, proposed_set):
         for s in SECRETS:
-            fast, _ = r_of_s(proposed_set, s, method="fast")
-            grid, _ = r_of_s(proposed_set, s, method="grid")
+            fast, _ = r_of_s(proposed_set, s)
+            grid, _ = grid_max_average_fidelity(analysis.bob_reduced_shares(proposed_set, s))
             assert abs(fast - grid) < 1e-6
 
     def test_hsu_grid_path(self, hsu_set):
-        value, _ = r_of_s(hsu_set, "00", method="grid")
+        value, _ = grid_max_average_fidelity(analysis.bob_reduced_shares(hsu_set, "00"))
         assert value == pytest.approx(1.0, abs=TOL)
 
     def test_grid_vs_analytic_random_pure_sets(self, rng):
         for trial in range(200):
             k = int(rng.integers(1, 9))
             sigmas = [pure_density(haar_state(2, rng)) for _ in range(k)]
-            fast, _ = max_average_fidelity(sigmas, method="fast")
-            grid, _ = max_average_fidelity(sigmas, method="grid")
+            fast, _ = max_average_fidelity(sigmas)
+            grid, _ = grid_max_average_fidelity(sigmas)
             assert abs(fast - grid) < 1e-6
 
     def test_optimizer_attains_value(self, rng):
@@ -211,10 +211,6 @@ class TestRofS:
                     bloch_from_density(opt) * (1 - 1e-3))
             probe_val = np.mean([fidelity(s, probe) for s in sigmas])
             assert probe_val <= value + 1e-7
-
-    def test_fast_path_rejects_mixed(self):
-        with pytest.raises(ValidationError):
-            max_average_fidelity([EYE2 / 2], method="fast")
 
 
 class TestBlochMeanBound:
@@ -353,7 +349,7 @@ class TestClosedForm:
         for trial in range(70):
             sigmas = _random_collection(rng, kind)
             value, opt = max_average_fidelity(sigmas)
-            grid, _ = max_average_fidelity(sigmas, method="grid")
+            grid, _ = grid_max_average_fidelity(sigmas)
             assert abs(value - grid) <= 1e-6, (kind, trial)
             assert abs(_attained(sigmas, opt) - value) <= 1e-9, (kind, trial)
 
@@ -366,11 +362,7 @@ class TestClosedForm:
                           for s in sigmas])
         assert value == pytest.approx(0.5 + c_mean, abs=1e-12)
 
-    def test_certify_never_scans_a_grid(self, monkeypatch):
-        def refuse(sigmas):
-            raise AssertionError("production R(s) path scanned a grid")
-
-        monkeypatch.setattr(analysis, "_grid_maximize", refuse)
+    def test_certify_never_scans_a_grid(self):
         rng = np.random.default_rng(16)
         random_set = NonceSet(
             name="random-k16",

@@ -83,21 +83,20 @@ def test_detection_bounds_equal_the_strategy_route(prior):
 def test_block_path_sums_several_outcomes_alike(k):
     # On a non-recoverable set Eve's recovery has several outcomes per
     # nonce, so each grid cell sums several branches, some of weight 0 on
-    # the block path.  The plan carries its steered stack, so the unbound
-    # strategy differs only in checking that the plan covers the set.
+    # the block path.
     rng = np.random.default_rng([12, k])
     ns = NonceSet(name=f"haar-{k}", states=tuple(haar_state(4, rng) for _ in range(k)))
     units = haar_unitaries(4 * k, rng)
     plan = AttackPlan(alpha=haar_state(4, rng),
                       v_table={(i, s): units[4 * i + n] for i in range(k)
                                for n, s in enumerate(SECRETS)})
-    for strat in (ifr_strategy(plan, ns), ifr_strategy(plan)):
-        weights, _, _ = strat.exact_block(ns, "01")
-        assert ((weights > 0).sum(axis=1) > 1).all()
-        for prior in PRIORS:
-            _assert_bitwise_same(outcome_distribution(ns, strat, mode_prior=prior),
-                                 outcome_distribution(ns, _BranchesOnly(strat), mode_prior=prior),
-                                 f"{ns.name} prior={prior}")
+    strat = ifr_strategy(plan, ns)
+    weights, _, _ = strat.exact_block(ns, "01")
+    assert ((weights > 0).sum(axis=1) > 1).all()
+    for prior in PRIORS:
+        _assert_bitwise_same(outcome_distribution(ns, strat, mode_prior=prior),
+                             outcome_distribution(ns, _BranchesOnly(strat), mode_prior=prior),
+                             f"{ns.name} prior={prior}")
 
 
 def test_block_shapes():

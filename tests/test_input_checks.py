@@ -6,9 +6,9 @@ check must give.  The rows cover the checks no other test reaches.
 import numpy as np
 import pytest
 
-from qsslab import adversary, analysis, linalg
+from qsslab import adversary, analysis, linalg, protocol
 from qsslab.errors import ValidationError
-from qsslab.nonces import SECRETS, builtin_nonce_set, share_state
+from qsslab.nonces import SECRETS, builtin_nonce_set
 
 PROPOSED = builtin_nonce_set("proposed-J")
 EYE2, EYE3, EYE4 = np.eye(2), np.eye(3), np.eye(4)
@@ -22,23 +22,30 @@ def _ifr_announced_first():
 
 CHECKS = {
     "adversary: guess of the wrong type": (
-        lambda: adversary.imr_guess_strategy(1.5), "guess must be an index"),
-    "adversary: unbound IMR intercept": (
-        lambda: adversary.imr_guess_strategy(0).intercept(share_state(PROPOSED.states[0], "00"),
-                                                          np.random.default_rng(0)),
-        "needs a nonce set"),
+        lambda: adversary.imr_guess_strategy(1.5, PROPOSED), "guess must be an index"),
+    "adversary: bool as a guess": (
+        lambda: adversary.imr_guess_strategy(True, PROPOSED), "guess must be an index"),
     "adversary: IFR announcement before interception": (
         _ifr_announced_first, "nonce announced before interception"),
     "adversary: unknown policy": (
         lambda: adversary.policy_target("nope", SECRETS[0]), "unknown policy 'nope'"),
+    "analysis: recoverability of no secrets": (
+        lambda: analysis.check_recoverability(PROPOSED, secrets=[]), "need at least one secret"),
     "analysis: no states": (
         lambda: analysis.max_average_fidelity([]), "need at least one state"),
-    "analysis: unknown method": (
-        lambda: analysis.max_average_fidelity([EYE2 / 2], method="nope"), "unknown method 'nope'"),
     "analysis: Bloch mean of no states": (
         lambda: analysis.bloch_mean_bound([]), "need at least one state"),
     "analysis: Bloch mean of two-qubit states": (
         lambda: analysis.bloch_mean_bound([EYE4 / 4]), "expected single-qubit density matrices"),
+    "protocol: negative seed": (
+        lambda: protocol.RoundConfig(nonce_set=PROPOSED, rng_seed=-1),
+        "rng_seed must be a non-negative integer, got -1"),
+    "protocol: fractional seed": (
+        lambda: protocol.RoundConfig(nonce_set=PROPOSED, rng_seed=1.5),
+        "rng_seed must be a non-negative integer, got 1.5"),
+    "protocol: bool as a seed": (
+        lambda: protocol.RoundConfig(nonce_set=PROPOSED, rng_seed=True),
+        "rng_seed must be a non-negative integer, got True"),
     "linalg: state of neither 2 nor 4 amplitudes": (
         lambda: linalg.validate_state(EYE3[0]), "must have dimension 2 or 4, got 3"),
     "linalg: unitary not square": (
