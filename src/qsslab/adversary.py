@@ -1,8 +1,8 @@
 """Adversary strategies: honest baseline, intercept-measure-resend with a
 nonce guess, and intercept-fake-resend driven by attack plans.
 
-Each strategy implements three hooks used by the protocol engine, and
-may add a fourth:
+Each strategy implements three hooks and may add a fourth; these, and
+the ``learned_secret`` attribute, are all the protocol engines use:
 
 * ``intercept(share, rng)``      -- receives the dealer's in-flight joint
   state (Eve's qubit first) and returns the joint state that survives to
@@ -19,7 +19,8 @@ may add a fourth:
   and intercept-fake-resend strategies have it.
 
 ``learned_secret`` is whatever 2-bit string Eve has reconstructed this
-round, or None.  An ``AttackPlan`` is read-only once built, and the
+round, or None; the Monte Carlo engine reads it once both hooks of the
+round have run.  An ``AttackPlan`` is read-only once built, and the
 intercept-fake-resend strategy reads its arrays without keeping a copy.
 """
 from __future__ import annotations
@@ -87,12 +88,7 @@ class HonestStrategy:
     """No tampering: forwards Bob's qubit unchanged, learns nothing."""
 
     name = "honest"
-
-    def __init__(self):
-        self.learned_secret = None
-
-    def begin_round(self):
-        self.learned_secret = None
+    learned_secret = None
 
     def intercept(self, share, rng):
         return share
@@ -132,10 +128,6 @@ class ImrGuessStrategy:
         self.learned_secret = None
         self._round_guess = None
         self.name = f"imr-guess:{guess if guess == 'uniform-random' else int(guess) + 1}"
-
-    def begin_round(self):
-        self.learned_secret = None
-        self._round_guess = None
 
     def intercept(self, share, rng):
         j = self.guess
@@ -318,18 +310,16 @@ class IfrStrategy:
         self._nonce_set = nonce_set
         self.name = f"ifr:{plan.policy}"
 
-    def begin_round(self):
-        self.learned_secret = None
-        self._retained = None
-
     def intercept(self, share, rng):
         self._retained = np.array(share, dtype=complex)
         return self.plan.alpha
 
     def nonce_announced(self, i, rng):
-        if self._retained is None:
+        # Each interception serves one announcement.
+        retained, self._retained = self._retained, None
+        if retained is None:
             raise ValidationError("nonce announced before interception")
-        self.learned_secret = sample_outcome(self._nonce_set.reflections[i] @ self._retained, rng)
+        self.learned_secret = sample_outcome(self._nonce_set.reflections[i] @ retained, rng)
         return self.plan.lookup(i, self.learned_secret)
 
     def exact_branches(self, nonce_set, i, s):

@@ -93,13 +93,15 @@ def overlap_deviation(nonce_set: NonceSet) -> float:
     return _worst_deviation(_overlaps(s_vecs, nonce_set.states), 0.5)
 
 
-def check_recoverability(nonce_set: NonceSet, secrets=None, tol: float = TOL) -> RecoverabilityReport:
+def check_recoverability(nonce_set: NonceSet, secrets=None) -> RecoverabilityReport:
     """Check |<s|psi>| = 1/2 for every pair, and verify the recovery chain.
 
     ``secrets`` may mix 2-bit strings and normalized two-qubit state
     vectors; it defaults to the four classical secrets.  The recovery
     probability |<s| U_psi U_s |psi>|^2 is computed directly as well, so
-    the report witnesses both sides of the equivalence.
+    the report witnesses both sides of the equivalence.  The set passes
+    when the worst overlap deviation is below ``TOL``, the threshold at
+    which ``synthesize_plan`` accepts it.
     """
     labelled, s_vecs = _labelled_secrets(secrets)                       # s_vecs: (m, 4)
     if not labelled:
@@ -117,7 +119,7 @@ def check_recoverability(nonce_set: NonceSet, secrets=None, tol: float = TOL) ->
     worst_overlap = _worst_deviation(overlaps, 0.5)
     return RecoverabilityReport(
         pairs=pairs,
-        passed=bool(worst_overlap < tol),
+        passed=bool(worst_overlap < TOL),
         worst_overlap_deviation=worst_overlap,
         worst_recovery_deviation=_worst_deviation(probs, 1.0),
     )
@@ -316,9 +318,10 @@ class CertificationReport:
         }
 
 
-def certify(nonce_set: NonceSet, tol: float = TOL) -> CertificationReport:
-    """Run every certification; detection bounds only for recoverable sets."""
-    recov = check_recoverability(nonce_set, tol=tol)
+def certify(nonce_set: NonceSet) -> CertificationReport:
+    """Run every certification, each verdict at ``TOL``; detection bounds
+    only for recoverable sets, which ``synthesize_plan`` accepts."""
+    recov = check_recoverability(nonce_set)
     per_nonce = check_secrecy(nonce_set)
     secrecy_dev = max(per_nonce.values())
     imr_dev = check_imr(nonce_set)
@@ -328,10 +331,10 @@ def certify(nonce_set: NonceSet, tol: float = TOL) -> CertificationReport:
         nonce_set_name=nonce_set.name,
         recoverable=recov.passed,
         recoverable_deviation=recov.worst_overlap_deviation,
-        secret=bool(secrecy_dev < tol),
+        secret=bool(secrecy_dev < TOL),
         secrecy_deviation=secrecy_dev,
         secrecy_per_nonce=per_nonce,
-        imr_protected=bool(imr_dev < tol),
+        imr_protected=bool(imr_dev < TOL),
         imr_deviation=imr_dev,
         r_of_s=r_values,
         detection_bounds=bounds,

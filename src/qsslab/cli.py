@@ -17,7 +17,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -61,8 +60,6 @@ def _flag(convert, ok, message: str):
 
 _natural = _flag(int, lambda v: v >= 0, "must be >= 0, got {value}")
 _rounds = _flag(int, lambda v: v >= 1, "must be >= 1, got {value}")
-_tol = _flag(float, lambda v: math.isfinite(v) and v > 0.0,
-             "must be a finite number > 0, got {raw}")
 _prior = _flag(float, lambda v: 0.0 <= v <= 1.0, "must be a finite number in [0, 1], got {raw}")
 _source = _flag(str, bool, "expected builtin:<name> or a path, got {raw!r}")
 _path = _flag(str, bool, "expected a path, got {raw!r}")
@@ -118,7 +115,7 @@ def cmd_certify(args) -> int:
     manifest = build_manifest("certify", args.nonces, _default_seed(), 0, 0.5) \
         if args.out else None
     nonce_set = resolve_nonce_source(args.nonces)
-    report = analysis.certify(nonce_set, tol=args.tol)
+    report = analysis.certify(nonce_set)
     text = analysis.format_certification(nonce_set, report)
     sys.stdout.write(text)
     if args.out:
@@ -318,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="certify a nonce set (recoverability, secrecy, IMR)")
     p.add_argument("--nonces", required=True, type=_source,
                    help="builtin:<hsu-I|proposed-J> or a nonce-set JSON path")
-    p.add_argument("--tol", type=_tol, default=1e-9)
     p.add_argument("--out", type=_path, help="write the JSON report here (plus a .txt table)")
     p.set_defaults(func=cmd_certify)
 

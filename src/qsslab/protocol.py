@@ -135,7 +135,13 @@ def _draw_secret(cfg: RoundConfig, mode: str, rng: np.random.Generator) -> str:
 
 
 def run_round(cfg: RoundConfig, strategy, round_index: int = 0) -> RoundTranscript:
-    """Execute one protocol round against an adversary strategy."""
+    """Execute one protocol round against an adversary strategy.
+
+    The round calls ``strategy.intercept``, then
+    ``strategy.nonce_announced``, then reads ``strategy.learned_secret``;
+    those hooks are all it calls (see ``qsslab.adversary``), and an
+    optional ``name`` only labels its errors.
+    """
     rng = np.random.default_rng([cfg.rng_seed, round_index])
     nonce_set = cfg.nonce_set
     k = len(nonce_set)
@@ -145,7 +151,6 @@ def run_round(cfg: RoundConfig, strategy, round_index: int = 0) -> RoundTranscri
     i = int(rng.integers(0, k))
 
     share = share_state(nonce_set.states[i], s)
-    strategy.begin_round()
     joint = np.asarray(strategy.intercept(share, rng), dtype=complex)
     if joint.shape != (4,) or abs(np.linalg.norm(joint) - 1.0) > INPUT_TOL:
         raise ProtocolError(

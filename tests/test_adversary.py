@@ -37,7 +37,6 @@ PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) * S2
 class TestHonest:
     def test_forwards_unchanged(self, proposed_set, rng):
         strat = honest_strategy()
-        strat.begin_round()
         share = share_state(proposed_set.states[1], "10")
         out = strat.intercept(share, rng)
         np.testing.assert_allclose(out, share)
@@ -295,7 +294,6 @@ class TestImrGuess:
         rounds = 4000
         strat = imr_guess_strategy(0, proposed_set)
         for r in range(rounds):
-            strat.begin_round()
             share = share_state(proposed_set.states[2], "01")
             strat.intercept(share, rng)
             if strat.learned_secret == "01":
@@ -314,7 +312,6 @@ class TestImrGuess:
         rng = np.random.default_rng(6)
         seen = set()
         for _ in range(60):
-            strat.begin_round()
             strat.intercept(share_state(proposed_set.states[0], "01"), rng)
             seen.add(strat._round_guess)
         assert len(seen) == len(proposed_set)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qsslab import analysis
+from qsslab.adversary import synthesize_plan
 from qsslab.analysis import (
     bloch_mean_bound,
     bloch_mean_distance_bound,
@@ -34,7 +35,6 @@ from qsslab.nonces import (
     basis_state,
     builtin_nonce_set,
     reflection,
-    share_state,
 )
 from oracles import grid_max_average_fidelity, haar_state, random_density
 
@@ -316,6 +316,25 @@ class TestCertify:
         text = format_certification(proposed_set, report)
         assert "|-><-|" in text and "|+i><+i|" in text
         assert "recoverable" in text and "PASS" in text
+
+    def test_one_recoverability_threshold(self):
+        # Seeded 1/2 e^{i phi} sets with one amplitude's modulus moved off
+        # 1/2, so the overlap deviation runs from about 1e-12 to 1e-6, across TOL.
+        verdicts = set()
+        for seed, exponent in enumerate(np.linspace(-12.0, -6.0, 25)):
+            rng = np.random.default_rng(seed)
+            states = 0.5 * np.exp(1j * rng.uniform(0, 2 * np.pi, (int(rng.integers(1, 9)), 4)))
+            states[0, 0] *= 1.0 + 2.0 * 10.0 ** exponent
+            ns = NonceSet(name=f"near-{seed}", states=tuple(states))
+            report = certify(ns)
+            try:
+                synthesize_plan(ns, "target-secret")
+                accepted = True
+            except CertificationError:
+                accepted = False
+            assert report.recoverable == accepted == (report.detection_bounds is not None), seed
+            verdicts.add(report.recoverable)
+        assert verdicts == {True, False}
 
 
 def _random_collection(rng, kind: str) -> list:

@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -18,6 +17,18 @@ def fixed_epoch(monkeypatch):
 
 def run(argv):
     return main(argv)
+
+
+def _write_near_recoverable(tmp_path):
+    """A two-nonce set whose overlap deviation, about 7.5e-8, is above the
+    1e-9 recoverability threshold but inside the loader's 1e-6
+    renormalization."""
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"name": "near", "states": [
+        [[0.5000001, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 0.0]],
+        [[0.5, 0.0], [0.5, 0.0], [-0.5, 0.0], [0.5, 0.0]],
+    ]}))
+    return path
 
 
 class TestCertifyCommand:
@@ -48,6 +59,15 @@ class TestCertifyCommand:
         assert code == 1
         cert = json.loads((tmp_path / "c.json").read_text())["certification"]
         assert not cert["recoverable"]
+
+    def test_near_recoverable_set_fails_without_bounds(self, tmp_path):
+        near = _write_near_recoverable(tmp_path)
+        code = run(["certify", "--nonces", str(near), "--out", str(tmp_path / "c.json")])
+        assert code == 1
+        cert = json.loads((tmp_path / "c.json").read_text())["certification"]
+        assert cert["recoverable"] is False and cert["detection_bounds"] is None
+        text = (tmp_path / "c.txt").read_text()
+        assert "recoverable    FAIL" in text and "detection floor" not in text
 
     def test_malformed_file_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
@@ -289,10 +309,16 @@ _SIM = ["simulate", "--nonces", "builtin:proposed-J", "--strategy", "honest"]
     (_SIM[:4] + ["ifr:{tmp}/nan_plan.json", "--exact"], {}, 2, "nan_plan.json"),
     (["attack", "--nonces", "builtin:proposed-J", "--policy", "target-01",
       "--alpha", "{tmp}/alpha5.json", "--out", "{tmp}/p.json"], {}, 2, "alpha5.json"),
-    (["certify", "--nonces", "builtin:proposed-J", "--tol", "nan"], {}, 2, "--tol: must be"),
-    (["certify", "--nonces", "builtin:proposed-J", "--tol", "-1"], {}, 2, "--tol: must be"),
-    (["certify", "--nonces", "builtin:proposed-J", "--tol", "0"], {}, 2, "--tol: must be"),
-    (["certify", "--nonces", "builtin:proposed-J", "--tol", "inf"], {}, 2, "--tol: must be"),
+    (["certify", "--nonces", "builtin:proposed-J", "--tol", "1e-6"], {}, 2,
+     "unrecognized arguments: --tol 1e-6"),
+    # near.json is just off the recoverability threshold that certify shares.
+    (["attack", "--nonces", "{tmp}/near.json", "--policy", "target-secret",
+      "--out", "{tmp}/p.json"], {}, 1, "nonce set is not recoverable"),
+    (["attack", "--nonces", "{tmp}/near.json", "--policy", "target-01",
+      "--out", "{tmp}/p.json"], {}, 1, "nonce set is not recoverable"),
+    (["attack", "--nonces", "{tmp}/near.json", "--policy", "target-01",
+      "--alpha", "{tmp}/alpha00.json", "--out", "{tmp}/p.json"], {}, 1,
+     "nonce set is not recoverable"),
     (_SIM + ["--exact", "--transcripts", "{tmp}/t.jsonl", "--out", "{tmp}/s.json"], {}, 2,
      "--transcripts"),
     (_SIM + ["--mode-prior", "nan"], {}, 2, "--mode-prior: must be"),
@@ -354,6 +380,8 @@ def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, argv, env, code, me
     plan["v_table"]["1" * 5000 + ",00"] = plan["v_table"]["1,00"]
     (tmp_path / "long_index_plan.json").write_text(json.dumps(plan))
     (tmp_path / "alpha5.json").write_text(json.dumps([[0.5, 0.0]] * 4 + [[0.0, 0.0]]))
+    (tmp_path / "alpha00.json").write_text(json.dumps([[1.0, 0.0]] + [[0.0, 0.0]] * 3))
+    _write_near_recoverable(tmp_path)
     huge = [[1e200, 0.0]] + [[0.5, 0.0]] * 3
     (tmp_path / "huge_state.json").write_text(json.dumps({"name": "x", "states": [huge]}))
     (tmp_path / "huge_alpha.json").write_text(json.dumps(huge))
@@ -370,7 +398,7 @@ def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, argv, env, code, me
     assert got == code
     assert message in err
     assert "Traceback" not in err
-    assert not (tmp_path / "c.json").exists() and not (tmp_path / "s.json").exists()
+    assert not any((tmp_path / name).exists() for name in ("c.json", "s.json", "p.json"))
 
 
 def test_unexpected_exception_exits_three(monkeypatch, capsys):
@@ -430,8 +458,3 @@ def test_exact_mode_prior_reaches_the_engine(tmp_path):
     sim = json.loads(out.read_text())["simulation"]
     assert sim["mode_prior"] == 0.3
     assert sim["p_detect"] == want.p_detect
-
-
-def test_certify_accepts_a_tolerance(capsys):
-    assert run(["certify", "--nonces", "builtin:proposed-J", "--tol", "1e-6"]) == 0
-    assert "PASS" in capsys.readouterr().out

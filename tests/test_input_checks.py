@@ -16,8 +16,15 @@ EYE2, EYE3, EYE4 = np.eye(2), np.eye(3), np.eye(4)
 
 def _ifr_announced_first():
     strat = adversary.ifr_strategy(adversary.synthesize_plan(PROPOSED, "target-01"), PROPOSED)
-    strat.begin_round()
     return strat.nonce_announced(0, np.random.default_rng(0))
+
+
+def _ifr_announced_twice():
+    strat = adversary.ifr_strategy(adversary.synthesize_plan(PROPOSED, "target-01"), PROPOSED)
+    rng = np.random.default_rng(0)
+    strat.intercept(PROPOSED.share_stack()[0, 0], rng)
+    strat.nonce_announced(0, rng)
+    return strat.nonce_announced(0, rng)
 
 
 CHECKS = {
@@ -27,6 +34,8 @@ CHECKS = {
         lambda: adversary.imr_guess_strategy(True, PROPOSED), "guess must be an index"),
     "adversary: IFR announcement before interception": (
         _ifr_announced_first, "nonce announced before interception"),
+    "adversary: second IFR announcement of one interception": (
+        _ifr_announced_twice, "nonce announced before interception"),
     "adversary: unknown policy": (
         lambda: adversary.policy_target("nope", SECRETS[0]), "unknown policy 'nope'"),
     "analysis: recoverability of no secrets": (

@@ -111,9 +111,6 @@ class _BadStrategy:
     name = "bad"
     learned_secret = None
 
-    def begin_round(self):
-        pass
-
     def intercept(self, share, rng):
         return share * 0.5
 
@@ -130,12 +127,7 @@ class _ReplaceBobStrategy:
     """
 
     name = "replace-bob"
-
-    def __init__(self):
-        self.learned_secret = None
-
-    def begin_round(self):
-        self.learned_secret = None
+    learned_secret = None
 
     def intercept(self, share, rng):
         coeff = np.asarray(share).reshape(2, 2)
@@ -166,7 +158,30 @@ class _ReplaceBobStrategy:
         return branches
 
 
+class _HooksOnlyStrategy:
+    """The documented strategy contract and nothing more: forwards the
+    share and learns nothing."""
+
+    learned_secret = None
+
+    def intercept(self, share, rng):
+        return share
+
+    def nonce_announced(self, i, rng):
+        return None
+
+    def exact_branches(self, nonce_set, i, s):
+        return [(1.0, share_state(nonce_set.states[i], s), None)]
+
+
 class TestStrategyContract:
+    def test_hooks_only_strategy_runs_in_both_engines(self, proposed_set):
+        exact = outcome_distribution(proposed_set, _HooksOnlyStrategy())
+        assert exact == outcome_distribution(proposed_set, honest_strategy())
+        cfg = RoundConfig(nonce_set=proposed_set, rng_seed=3)
+        assert (estimate_detection(cfg, _HooksOnlyStrategy(), 500)
+                == estimate_detection(cfg, honest_strategy(), 500))
+
     def test_non_normalized_state_raises(self, proposed_set):
         cfg = RoundConfig(nonce_set=proposed_set, rng_seed=0)
         with pytest.raises(ProtocolError):
@@ -248,9 +263,6 @@ class _StageTwoStrategy:
 
     def __init__(self, operator):
         self.operator = operator
-
-    def begin_round(self):
-        pass
 
     def intercept(self, share, rng):
         return share
