@@ -156,94 +156,55 @@ class ImrGuessStrategy:
 
 @dataclass(frozen=True, eq=False)
 class AttackPlan:
-    """Eve's committed fake state plus her table of steering unitaries.
+    """Eve's committed fake state plus her stack of steering unitaries.
 
-    ``v_table`` maps (0-based nonce index, computed secret) to the 2x2
-    unitary Eve applies to her half of ``alpha`` once she has reconstructed
-    the secret at Stage II; it must cover every secret of nonces 0..K-1.
-    Validated once into read-only arrays ``alpha``, ``unitaries`` (K, 4, 2, 2)
-    and ``steered`` (K, 4, 4), the states (V x I)|alpha>, ``[i, n]`` for
-    s = SECRETS[n]; ``v_table`` becomes a read-only view of ``unitaries``.
-    ``synthesize_plan`` gives the unitaries as that stack, with no dict, and
-    they are checked the same way.
+    ``unitaries[i, n]`` is the 2x2 unitary Eve applies to her half of
+    ``alpha`` once she has reconstructed s = SECRETS[n] of nonce i (0-based)
+    at Stage II; the (K, 4, 2, 2) stack covers nonces 0..K-1.  Validated
+    once into read-only arrays ``alpha``, ``unitaries`` and ``steered``
+    (K, 4, 4), the states (V x I)|alpha>.  ``v_table`` is the same stack
+    keyed by (nonce, secret), the form plan files store.
     """
 
     alpha: np.ndarray = field(repr=False)
-    v_table: MappingProxyType = field(repr=False)
+    unitaries: np.ndarray = field(repr=False)
     policy: str = POLICY_TARGET_SECRET
-    unitaries: np.ndarray = field(init=False, repr=False)
     steered: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, unitaries: np.ndarray | None = None):
+    def __post_init__(self):
         alpha = validate_state(self.alpha, dim=4, what="alpha")
         if self.policy not in POLICIES:
             raise ValidationError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        if unitaries is None:
-            unitaries = self._table_unitaries()
-        else:
+        try:
             # A C-ordered copy, so that v_table's entries are views into it.
-            unitaries = np.array(unitaries, dtype=complex, order="C")
-            try:
-                validate_unitary(unitaries, dim=2)
-            except ValidationError:
-                # Name the bad entry; the names are formatted only on failure.
-                validate_unitary(unitaries, dim=2, names=[
-                    f"v_table entry {i + 1},{s}" for i in range(len(unitaries)) for s in SECRETS])
-                raise
+            unitaries = np.array(self.unitaries, dtype=complex, order="C")
+            if unitaries.shape[1:] != (4, 2, 2):
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ValidationError("unitaries must be a numeric (K, 4, 2, 2) stack") from None
+        try:
+            validate_unitary(unitaries, dim=2)
+        except ValidationError:
+            # Name the bad entry; the names are formatted only on failure.
+            validate_unitary(unitaries, dim=2, names=[
+                f"v_table entry {i + 1},{s}" for i in range(len(unitaries)) for s in SECRETS])
+            raise
         steered = (unitaries @ alpha.reshape(2, 2)).reshape(-1, 4, 4)
         self.__setstate__({"alpha": alpha, "unitaries": unitaries, "steered": steered})
 
-    @classmethod
-    def _from_unitaries(cls, alpha, unitaries: np.ndarray, policy: str) -> AttackPlan:
-        """The plan of a (K, 4, 2, 2) complex stack, ``[i, n]`` for
-        s = SECRETS[n], validated like a ``v_table``."""
-        plan = cls.__new__(cls)
-        object.__setattr__(plan, "alpha", alpha)
-        object.__setattr__(plan, "policy", policy)
-        plan.__post_init__(unitaries)
-        return plan
-
-    def _table_unitaries(self) -> np.ndarray:
-        """``v_table`` validated into the (K, 4, 2, 2) stack in plan order."""
-        keys = [(int(i), validate_secret(s)) for i, s in self.v_table]
-        try:
-            stack = np.array(list(self.v_table.values()), dtype=complex)
-        except (TypeError, ValueError):
-            stack = None
-        if keys and (stack is None or stack.shape != (len(keys), 2, 2)):
-            raise ValidationError("every v_table entry must be a 2x2 matrix")
-        stack = validate_unitary(stack.reshape(-1, 2, 2), dim=2,
-                                 names=[f"v_table entry {i + 1},{s}" for i, s in keys])
-        row = {key: j for j, key in enumerate(keys)}
-        # k nonces take 4k keys, so a hole or a stray key leaves a gap below k.
-        order = [(i, s) for i in range(-(-len(row) // 4)) for s in SECRETS]
-        gap = next((key for key in order if key not in row), None)
-        if gap is not None:
-            raise PlanIncompleteError(
-                f"attack plan has no unitary for nonce {gap[0] + 1}, secret {gap[1]}")
-        return stack[[row[key] for key in order]].reshape(-1, 4, 2, 2)
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "v_table"}
-
     def __setstate__(self, state):
-        """Keep validated arrays read-only, with ``v_table`` viewing ``unitaries``.
-
-        ``copy`` and ``pickle`` restore a plan through here too, bit for bit:
-        validating alpha again would renormalize it and can move its last bit.
-        """
+        """Set the validated arrays, read-only.  ``copy`` and ``pickle`` restore
+        a plan through here, bit for bit: validating alpha again can move a bit."""
         set_frozen(self, **state)
-        order = [(i, s) for i in range(len(self.unitaries)) for s in SECRETS]
-        object.__setattr__(self, "v_table",
-                           MappingProxyType(dict(zip(order, self.unitaries.reshape(-1, 2, 2)))))
+
+    @property
+    def v_table(self) -> MappingProxyType:
+        """Read-only views of ``unitaries`` by (0-based nonce, secret), in order."""
+        order = [(i, s) for i in range(len(self)) for s in SECRETS]
+        return MappingProxyType(dict(zip(order, self.unitaries.reshape(-1, 2, 2))))
 
     def __len__(self) -> int:
         return len(self.unitaries)
-
-    def lookup(self, i: int, s: str) -> np.ndarray:
-        if not 0 <= i < len(self):
-            raise PlanIncompleteError(f"attack plan has no unitary for nonce {i + 1}, secret {s}")
-        return self.unitaries[i, SECRETS.index(validate_secret(s))]
 
     def validate_for(self, nonce_set: NonceSet) -> None:
         if len(self) < len(nonce_set):
@@ -259,12 +220,14 @@ class AttackPlan:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AttackPlan":
+        """The plan of a plan file, whose ``v_table`` covers nonces 1..K; a bad
+        matrix is named by its key, even at a key beyond the plan."""
         if not isinstance(data, dict) or not {"alpha", "policy", "v_table"} <= data.keys():
             raise ValidationError('attack-plan JSON must have "alpha", "policy" and "v_table" keys')
         if not isinstance(data["v_table"], dict):
             raise ValidationError(
                 f'"v_table" must be an object, got {type(data["v_table"]).__name__}')
-        v_table = {}
+        entries = {}
         count = len(data["v_table"])
         for key, rows in data["v_table"].items():
             i_str, _, s = key.partition(",")
@@ -277,9 +240,19 @@ class AttackPlan:
             if len(i_str) > len(str(count)):
                 raise ValidationError(
                     f"v_table key {key!r} names a nonce beyond the {count} keys of the table")
-            v_table[(int(i_str) - 1, s)] = complex_from_json(rows, (2, 2), f"v_table entry {key}")
+            entries[(int(i_str) - 1, validate_secret(s))] = complex_from_json(
+                rows, (2, 2), f"v_table entry {key}")
         alpha = complex_from_json(data["alpha"], (4,), "alpha")
-        return cls(alpha=alpha, v_table=v_table, policy=data["policy"])
+        validate_unitary(np.reshape(list(entries.values()), (-1, 2, 2)), dim=2,
+                         names=[f"v_table entry {i + 1},{s}" for i, s in entries])
+        # k nonces take 4k keys, so a hole or a stray key leaves a gap below k.
+        order = [(i, s) for i in range(-(-len(entries) // 4)) for s in SECRETS]
+        gap = next((key for key in order if key not in entries), None)
+        if gap is not None:
+            raise PlanIncompleteError(
+                f"attack plan has no unitary for nonce {gap[0] + 1}, secret {gap[1]}")
+        return cls(alpha, np.reshape([entries[key] for key in order], (-1, 4, 2, 2)),
+                   data["policy"])
 
 
 def save_plan(plan: AttackPlan, path) -> None:
@@ -320,7 +293,7 @@ class IfrStrategy:
         if retained is None:
             raise ValidationError("nonce announced before interception")
         self.learned_secret = sample_outcome(self._nonce_set.reflections[i] @ retained, rng)
-        return self.plan.lookup(i, self.learned_secret)
+        return self.plan.unitaries[i, SECRETS.index(self.learned_secret)]
 
     def exact_branches(self, nonce_set, i, s):
         _check_same_set(self._nonce_set, nonce_set)
@@ -377,8 +350,7 @@ def synthesize_plan(nonce_set: NonceSet, policy: str,
     Refuses non-recoverable nonce sets.  The committed state is the
     canonical purification of the optimal single-qubit fake share, unless
     an explicit ``alpha`` (any normalized two-qubit state) is forced; each
-    v_table entry is the Uhlmann-optimal steering unitary toward the
-    policy's target share state.
+    steering unitary is Uhlmann-optimal toward the policy's target share.
     """
     deviation = analysis.overlap_deviation(nonce_set)
     if not deviation < TOL:
@@ -392,7 +364,7 @@ def synthesize_plan(nonce_set: NonceSet, policy: str,
     else:
         alpha = validate_state(alpha, dim=4, what="alpha")
     v, _ = max_overlap_unitary(alpha, nonce_set.share_stack()[:, targets])
-    return AttackPlan._from_unitaries(alpha, v, policy)
+    return AttackPlan(alpha, v, policy)
 
 
 def plan_overlaps(plan: AttackPlan, nonce_set: NonceSet,

@@ -128,7 +128,10 @@ def cmd_certify(args) -> int:
             else args.out[: -len(".json")] + ".txt"
         with open(txt_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    return EXIT_OK if report.all_passed else EXIT_CERTIFICATION
+    failed = [c for c in ("recoverable", "secret", "imr_protected") if not getattr(report, c)]
+    if failed:
+        raise CertificationError(f"failed {', '.join(failed)}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +361,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CertificationError as exc:
-        sys.stderr.write(f"certification failure: {exc}\n")
+    except CertificationError as exc:  # only certify and attack certify a set
+        sys.stderr.write(f"certification failure: {args.nonces}: {exc}\n")
         return EXIT_CERTIFICATION
     except (ValidationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -28,6 +28,7 @@ per worker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -230,30 +231,25 @@ class ExactDistribution:
     """Exact outcome table and the security margins derived from it.
 
     ``table`` maps (mode, s, nonce_index, b) -> probability with 1-based
-    nonce indices; entries sum to 1.  The exact engine passes its
-    (mode, s, nonce, b) probability ``grid`` instead, and the dict is built
-    from the grid's nonzero cells on first access.  Two distributions are
-    equal when their tables, margins and verdict masses are.
+    nonce indices; entries sum to 1.  It is built on first access from the
+    nonzero cells of the engine's (mode, s, nonce, b) probability ``grid``.
+    Two distributions are equal when their tables, margins and verdict
+    masses are.
     """
 
-    def __init__(self, table: dict | None, p_detect: float, p_eve_knows_secret: float,
-                 verdict_probs: dict, *, grid: np.ndarray | None = None):
-        self._table = table
+    def __init__(self, grid: np.ndarray, p_detect: float, p_eve_knows_secret: float,
+                 verdict_probs: dict):
         self._grid = grid
         self.p_detect = p_detect
         self.p_eve_knows_secret = p_eve_knows_secret
         self.verdict_probs = verdict_probs
 
-    @property
+    @cached_property
     def table(self) -> dict:
-        if self._table is None:
-            cells = np.nonzero(self._grid)
-            self._table = {
-                (MODES[m], SECRETS[s], i + 1, SECRETS[b]): p
+        cells = np.nonzero(self._grid)
+        return {(MODES[m], SECRETS[s], i + 1, SECRETS[b]): p
                 for m, s, i, b, p in zip(*(idx.tolist() for idx in cells),
-                                         self._grid[cells].tolist())
-            }
-        return self._table
+                                         self._grid[cells].tolist())}
 
     def _fields(self) -> tuple:
         return self.table, self.p_detect, self.p_eve_knows_secret, self.verdict_probs
@@ -344,9 +340,8 @@ def outcome_distribution(nonce_set: NonceSet, strategy, mode_prior: float = 0.5)
                     p_eve += w
     verdict_probs = {v: float(masses[n]) for n, v in enumerate(VERDICTS)}
     return ExactDistribution(
-        None,
+        grid,
         p_detect=verdict_probs[EAVESDROPPER_DETECTED],
         p_eve_knows_secret=p_eve,
         verdict_probs=verdict_probs,
-        grid=grid,
     )

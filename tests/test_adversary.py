@@ -18,6 +18,7 @@ from qsslab.adversary import (
 )
 from qsslab.analysis import r_of_s
 from qsslab.errors import CertificationError, PlanIncompleteError, ValidationError
+from qsslab.jsonio import complex_to_json
 from qsslab.linalg import (
     TOL,
     partial_trace_E,
@@ -32,6 +33,12 @@ from oracles import average_recovery, haar_state, haar_unitaries
 S2 = 1.0 / np.sqrt(2.0)
 EYE2 = np.eye(2, dtype=complex)
 PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) * S2
+
+
+def _plan_json(v_table: dict, policy: str = "target-01") -> dict:
+    """A plan file's JSON, each ``"<nonce>,<secret>"`` entry encoded."""
+    return {"alpha": complex_to_json([1, 0, 0, 0]), "policy": policy,
+            "v_table": {key: complex_to_json(v) for key, v in v_table.items()}}
 
 
 class TestHonest:
@@ -163,10 +170,10 @@ class TestIfrStrategy:
 
     def test_missing_entry_raises(self, proposed_set):
         plan = synthesize_plan(proposed_set, "target-secret")
-        table = dict(plan.v_table)
-        del table[(2, "01")]
+        data = plan.to_json_dict()
+        del data["v_table"]["3,01"]
         with pytest.raises(PlanIncompleteError, match="nonce 3, secret 01"):
-            AttackPlan(alpha=plan.alpha, v_table=table, policy=plan.policy)
+            AttackPlan.from_json_dict(data)
         with pytest.raises(TypeError):
             del plan.v_table[(2, "01")]
 
@@ -200,26 +207,21 @@ class TestReadOnlyPlan:
         for (i, s), v in plan.v_table.items():
             n = SECRETS.index(s)
             assert np.shares_memory(v, plan.unitaries) and (v == plan.unitaries[i, n]).all()
-            assert (plan.lookup(i, s) == v).all()
             np.testing.assert_allclose(plan.steered[i, n], np.kron(v, EYE2) @ plan.alpha,
                                        atol=1e-15)
 
     def test_gap_names_first_missing_nonce(self):
-        table = {(i, s): EYE2 for i in (0, 2) for s in SECRETS}
+        data = _plan_json({f"{i},{s}": EYE2 for i in (1, 3) for s in SECRETS})
         with pytest.raises(PlanIncompleteError, match="nonce 2, secret 00"):
-            AttackPlan(alpha=PSI_PLUS, v_table=table)
+            AttackPlan.from_json_dict(data)
 
     def test_negative_index_refused(self):
-        table = {(i, s): EYE2 for i in range(2) for s in SECRETS}
-        table[(-1, "00")] = EYE2
-        with pytest.raises(PlanIncompleteError):
-            AttackPlan(alpha=PSI_PLUS, v_table=table)
-
-    def test_lookup_out_of_range(self, proposed_set):
-        plan = synthesize_plan(proposed_set, "target-01")
-        for i in (-1, len(plan)):
-            with pytest.raises(PlanIncompleteError, match=f"nonce {i + 1}, secret 01"):
-                plan.lookup(i, "01")
+        # A plan file's keys are 1-based, so nonce index -1 is written 0.
+        for bad in ("0,00", "-1,00"):
+            data = _plan_json({f"{i},{s}": EYE2 for i in (1, 2) for s in SECRETS})
+            data["v_table"][bad] = complex_to_json(EYE2)
+            with pytest.raises(ValidationError, match=f"v_table key '{bad}' must read"):
+                AttackPlan.from_json_dict(data)
 
     def test_plan_smaller_than_set_refused(self, proposed_set, hsu_set):
         plan = synthesize_plan(proposed_set, "target-01")
@@ -339,24 +341,20 @@ class TestPlanSerialization:
         assert d1.p_detect == d2.p_detect
 
     def test_rejects_non_unitary_entry(self):
-        with pytest.raises(ValidationError):
-            AttackPlan(
-                alpha=np.array([1, 0, 0, 0], dtype=complex),
-                v_table={(0, "00"): np.array([[1, 1], [0, 1]], dtype=complex)},
-                policy="target-01",
-            )
+        with pytest.raises(ValidationError, match="^v_table entry 1,00: matrix is not unitary"):
+            AttackPlan.from_json_dict(_plan_json({"1,00": np.array([[1, 1], [0, 1]])}))
 
     def test_rejects_nan_entry(self):
-        with pytest.raises(ValidationError, match="non-finite"):
-            AttackPlan(
-                alpha=np.array([1, 0, 0, 0], dtype=complex),
-                v_table={(0, "00"): np.full((2, 2), np.nan, dtype=complex)},
-                policy="target-01",
-            )
+        stack = np.full((1, 4, 2, 2), np.nan, dtype=complex)
+        with pytest.raises(ValidationError, match="^v_table entry 1,00: unitary has non-finite"):
+            AttackPlan(np.array([1, 0, 0, 0], dtype=complex), stack, "target-01")
+        # A plan file cannot hold NaN, so its decoder refuses it first.
+        with pytest.raises(ValidationError, match="^v_table entry 1,00: entries must be finite"):
+            AttackPlan.from_json_dict(_plan_json({"1,00": stack[0, 0]}))
 
     def test_rejects_bad_policy(self):
-        with pytest.raises(ValidationError):
-            AttackPlan(alpha=np.array([1, 0, 0, 0], dtype=complex), v_table={}, policy="nope")
+        with pytest.raises(ValidationError, match="policy must be one of"):
+            AttackPlan.from_json_dict(_plan_json({}, policy="nope"))
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -469,7 +467,7 @@ class TestCopies:
         # Find a plan whose alpha moves a last bit when normalized again.
         rng = np.random.default_rng(31)
         while True:
-            plan = AttackPlan(alpha=haar_state(4, rng), v_table={(0, s): EYE2 for s in SECRETS})
+            plan = AttackPlan(haar_state(4, rng), np.broadcast_to(EYE2, (1, 4, 2, 2)))
             if not np.array_equal(validate_state(plan.alpha), plan.alpha):
                 break
         assert np.array_equal(COPIES[how](plan).alpha, plan.alpha)

@@ -9,6 +9,7 @@ import pytest
 from qsslab import analysis
 from qsslab.adversary import AttackPlan, ifr_strategy, imr_guess_strategy, synthesize_plan
 from qsslab.errors import ValidationError
+from qsslab.jsonio import complex_to_json
 from qsslab.linalg import (
     PAULI_X,
     PAULI_Y,
@@ -24,6 +25,12 @@ from qsslab.linalg import (
 from qsslab.nonces import NonceSet, SECRETS, builtin_nonce_set, reflection, share_state
 from qsslab.protocol import outcome_distribution
 from oracles import haar_state, haar_unitaries, random_density
+
+
+def _plan_json(v_table: dict) -> dict:
+    """A plan file's JSON, each ``"<nonce>,<secret>"`` entry encoded."""
+    return {"alpha": complex_to_json([1, 0, 0, 0]), "policy": "target-01",
+            "v_table": {key: complex_to_json(v) for key, v in v_table.items()}}
 
 
 def _phase_set(k: int, seed: int) -> NonceSet:
@@ -167,19 +174,32 @@ class TestStackedUnitaryCheck:
             validate_unitary(bad, dim=2)
 
     def test_plan_names_bad_entry_one_based(self):
-        table = {(i, s): np.eye(2, dtype=complex) for i in range(4) for s in SECRETS}
-        table[(2, "01")] = np.array([[1, 1], [0, 1]], dtype=complex)
+        table = {f"{i},{s}": np.eye(2) for i in range(1, 5) for s in SECRETS}
+        table["3,01"] = np.array([[1, 1], [0, 1]])
         with pytest.raises(ValidationError, match="^v_table entry 3,01: matrix is not unitary"):
-            AttackPlan(alpha=np.array([1, 0, 0, 0], dtype=complex), v_table=table)
+            AttackPlan.from_json_dict(_plan_json(table))
 
     def test_synthesized_stack_validates_like_a_table(self):
         plan = synthesize_plan(_phase_set(5, 12), "target-secret")
-        twin = AttackPlan(alpha=plan.alpha, v_table=dict(plan.v_table), policy=plan.policy)
+        twin = AttackPlan.from_json_dict(plan.to_json_dict())
         assert twin.unitaries.tobytes() == plan.unitaries.tobytes()
         bad = plan.unitaries.copy()
         bad[2, 1] = [[1, 1], [0, 1]]
         with pytest.raises(ValidationError, match="^v_table entry 3,01: matrix is not unitary"):
-            AttackPlan._from_unitaries(plan.alpha, bad, plan.policy)
+            AttackPlan(plan.alpha, bad, plan.policy)
+
+    @pytest.mark.parametrize("unitaries", [
+        {(0, "00"): np.eye(2)},
+        np.broadcast_to(np.eye(2), (4, 2, 2)),
+        np.zeros((1, 4, 2, 2, 1)),
+        np.broadcast_to(np.eye(2), (1, 2, 2, 2)),
+        [[[[1, 0], [0, 1, 0]]] * 4],
+        "eye",
+        None,
+    ], ids=["dict", "3d", "5d", "two-secrets", "ragged", "string", "none"])
+    def test_plan_refuses_a_non_stack(self, unitaries):
+        with pytest.raises(ValidationError, match=r"^unitaries must be a numeric \(K, 4, 2, 2\)"):
+            AttackPlan(np.array([1, 0, 0, 0], dtype=complex), unitaries)
 
     def test_replace_builds_the_plan_again_from_its_table(self):
         plan = synthesize_plan(builtin_nonce_set("proposed-J"), "target-secret")
@@ -187,30 +207,32 @@ class TestStackedUnitaryCheck:
         assert other.policy == "target-01"
         assert other.unitaries.tobytes() == plan.unitaries.tobytes()
 
-    @pytest.mark.parametrize("key", [(2, "10"), (-1, "00")], ids=["beyond", "negative"])
-    def test_plan_names_a_bad_stray_entry(self, key):
-        table = {(i, s): np.eye(2, dtype=complex) for i in range(2) for s in SECRETS}
-        table[key] = np.array([[1, 1], [0, 1]], dtype=complex)
-        with pytest.raises(ValidationError,
-                           match=f"^v_table entry {key[0] + 1},{key[1]}: matrix is not unitary"):
-            AttackPlan(alpha=np.array([1, 0, 0, 0], dtype=complex), v_table=table)
+    @pytest.mark.parametrize("key, message", [
+        ("3,10", "^v_table entry 3,10: matrix is not unitary"),
+        ("0,00", "^v_table key '0,00' must read"),
+    ], ids=["beyond", "negative"])
+    def test_plan_names_a_bad_stray_entry(self, key, message):
+        table = {f"{i},{s}": np.eye(2) for i in (1, 2) for s in SECRETS}
+        table[key] = np.array([[1, 1], [0, 1]])
+        with pytest.raises(ValidationError, match=message):
+            AttackPlan.from_json_dict(_plan_json(table))
 
     def test_plan_with_empty_v_table_constructs(self):
-        plan = AttackPlan(alpha=np.array([1, 0, 0, 0], dtype=complex), v_table={},
-                          policy="target-01")
-        assert plan.v_table == {}
+        plan = AttackPlan.from_json_dict(_plan_json({}))
+        assert plan.v_table == {} and plan.unitaries.shape == (0, 4, 2, 2)
 
     @pytest.mark.parametrize("entry", [
-        [[1, 0], [0, 1, 0]],
-        np.eye(3),
-        np.eye(4).reshape(4, 2, 2),
-        [1, 0, 0, 1],
+        [[[1, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]],
+        complex_to_json(np.eye(3)),
+        complex_to_json(np.eye(4).reshape(4, 2, 2)),
+        complex_to_json([1, 0, 0, 1]),
         "eye",
     ], ids=["ragged", "3x3", "4x2x2", "flat", "string"])
     def test_plan_rejects_misshaped_entry(self, entry):
-        table = {(0, "00"): np.eye(2, dtype=complex), (0, "01"): entry}
-        with pytest.raises(ValidationError):
-            AttackPlan(alpha=np.array([1, 0, 0, 0], dtype=complex), v_table=table)
+        data = _plan_json({"1,00": np.eye(2)})
+        data["v_table"]["1,01"] = entry
+        with pytest.raises(ValidationError, match="^v_table entry 1,01: expected 2"):
+            AttackPlan.from_json_dict(data)
 
 
 def test_exact_engine_memory_on_uniform_guess_table():

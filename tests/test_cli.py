@@ -69,6 +69,14 @@ class TestCertifyCommand:
         text = (tmp_path / "c.txt").read_text()
         assert "recoverable    FAIL" in text and "detection floor" not in text
 
+    def test_failure_names_source_and_checks_on_stderr(self, tmp_path, capsys):
+        near = _write_near_recoverable(tmp_path)
+        assert run(["certify", "--nonces", str(near)]) == 1
+        out, err = capsys.readouterr()
+        assert err == (f"certification failure: {near}: "
+                       "failed recoverable, secret, imr_protected\n")
+        assert "recoverable    FAIL" in out
+
     def test_malformed_file_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
@@ -398,6 +406,8 @@ def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, argv, env, code, me
     assert got == code
     assert message in err
     assert "Traceback" not in err
+    if code == 1:  # a certification failure names the --nonces source
+        assert f"{argv[argv.index('--nonces') + 1]}: " in err
     assert not any((tmp_path / name).exists() for name in ("c.json", "s.json", "p.json"))
 
 

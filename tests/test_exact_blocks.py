@@ -87,9 +87,7 @@ def test_block_path_sums_several_outcomes_alike(k):
     rng = np.random.default_rng([12, k])
     ns = NonceSet(name=f"haar-{k}", states=tuple(haar_state(4, rng) for _ in range(k)))
     units = haar_unitaries(4 * k, rng)
-    plan = AttackPlan(alpha=haar_state(4, rng),
-                      v_table={(i, s): units[4 * i + n] for i in range(k)
-                               for n, s in enumerate(SECRETS)})
+    plan = AttackPlan(haar_state(4, rng), units.reshape(k, 4, 2, 2))
     strat = ifr_strategy(plan, ns)
     weights, _, _ = strat.exact_block(ns, "01")
     assert ((weights > 0).sum(axis=1) > 1).all()

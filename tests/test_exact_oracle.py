@@ -5,6 +5,8 @@ used to run, kept here as an oracle: one ``stage_iv_verdict`` call and one
 dict update per (branch, outcome).  ``outcome_distribution`` must give the
 same table keys and the same numbers within 1e-12.
 """
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,8 @@ PRIORS = (0.0, 0.3, 0.5, 1.0)
 ORACLE_TOL = 1e-12
 
 
-def reference_distribution(nonce_set, strategy, mode_prior=0.5) -> ExactDistribution:
+def reference_distribution(nonce_set, strategy, mode_prior=0.5) -> SimpleNamespace:
+    """The four fields of an ``ExactDistribution``, from the scalar loop."""
     k = len(nonce_set)
     table = {}
     p_eve = 0.0
@@ -51,7 +54,7 @@ def reference_distribution(nonce_set, strategy, mode_prior=0.5) -> ExactDistribu
                         key = (mode, s, i + 1, b)
                         table[key] = table.get(key, 0.0) + w
                         verdict_probs[stage_iv_verdict(mode, s, b)[0]] += w
-    return ExactDistribution(
+    return SimpleNamespace(
         table=table,
         p_detect=verdict_probs[EAVESDROPPER_DETECTED],
         p_eve_knows_secret=p_eve,
@@ -131,7 +134,7 @@ def _strategy(label, ns):
     return {"replace-bob": _ReplaceBobStrategy, "odd-branches": _OddBranchesStrategy}[label]()
 
 
-def _assert_same(got: ExactDistribution, want: ExactDistribution, where: str) -> None:
+def _assert_same(got: ExactDistribution, want: SimpleNamespace, where: str) -> None:
     assert set(got.table) == set(want.table), where
     for key, p in want.table.items():
         assert abs(got.table[key] - p) <= ORACLE_TOL, (where, key)
