@@ -55,8 +55,6 @@ from .adversary import (
 )
 from .analysis import (
     CertificationReport,
-    bloch_mean_bound,
-    bloch_mean_distance_bound,
     certify,
     check_imr,
     check_recoverability,
@@ -64,7 +62,6 @@ from .analysis import (
     detection_bounds,
     max_average_fidelity,
     r_of_s,
-    recovery_amplitude,
 )
 
 __version__ = "0.1.0"

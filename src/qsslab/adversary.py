@@ -44,10 +44,10 @@ from .linalg import (
 )
 from .nonces import NonceSet, SECRETS, sample_outcome, set_frozen, share_state, validate_secret
 
+# A plan steers toward the secret Eve learned, or toward one fixed secret t.
 POLICY_TARGET_SECRET = "target-secret"
 POLICY_TARGET_01 = "target-01"
-POLICY_CUSTOM = "custom"
-POLICIES = (POLICY_TARGET_SECRET, POLICY_TARGET_01, POLICY_CUSTOM)
+POLICIES = (POLICY_TARGET_SECRET, *(f"target-{t}" for t in SECRETS))
 
 
 # Measurement outcomes of probability at or below this never happen.
@@ -315,16 +315,12 @@ imr_guess_strategy = ImrGuessStrategy
 ifr_strategy = IfrStrategy
 
 
-def policy_target(policy: str, s: str, target_map: dict | None = None) -> str:
+def policy_target(policy: str, s: str) -> str:
     """The 2-bit string a plan steers toward, given the secret Eve learned."""
-    if policy == POLICY_TARGET_01:
-        return "01"
     if policy == POLICY_TARGET_SECRET:
         return s
-    if policy == POLICY_CUSTOM:
-        if target_map is None or s not in target_map:
-            raise ValidationError(f"custom policy needs a target map covering secret {s}")
-        return validate_secret(target_map[s])
+    if policy in POLICIES:
+        return policy.removeprefix("target-")
     raise ValidationError(f"unknown policy {policy!r}")
 
 
@@ -335,16 +331,16 @@ def _optimizer_state(nonce_set: NonceSet, targets: list) -> np.ndarray:
     # of the average fidelity against Bob's reduced shares over every
     # (nonce, secret) pair, each share taken for the policy's target of that
     # secret.  For a fixed-target policy that is the R(target) optimizer.
-    # More generally, when every target's maximizer is the same state (I/2
-    # for both builtin sets) the average keeps it, because an average of
-    # concave objectives that share a maximizer is maximized there too.
+    # Only target-secret has more than one target; when every target's
+    # maximizer is the same state (I/2 for both builtin sets) the average
+    # keeps it, because an average of concave objectives that share a
+    # maximizer is maximized there too.
     sigmas = nonce_set.reduced_share_stack()[:, targets].swapaxes(0, 1).reshape(-1, 2, 2)
     return analysis.max_average_fidelity(sigmas)[1]
 
 
 def synthesize_plan(nonce_set: NonceSet, policy: str,
-                    alpha: np.ndarray | None = None,
-                    target_map: dict | None = None) -> AttackPlan:
+                    alpha: np.ndarray | None = None) -> AttackPlan:
     """Construct the fidelity-optimal intercept-fake-resend plan.
 
     Refuses non-recoverable nonce sets.  The committed state is the
@@ -358,7 +354,7 @@ def synthesize_plan(nonce_set: NonceSet, policy: str,
             "nonce set is not recoverable (worst overlap deviation "
             f"{deviation:.3g}); attack synthesis assumes recoverability"
         )
-    targets = [SECRETS.index(policy_target(policy, s, target_map)) for s in SECRETS]
+    targets = [SECRETS.index(policy_target(policy, s)) for s in SECRETS]
     if alpha is None:
         alpha = canonical_purification(_optimizer_state(nonce_set, targets))
     else:
@@ -367,15 +363,14 @@ def synthesize_plan(nonce_set: NonceSet, policy: str,
     return AttackPlan(alpha, v, policy)
 
 
-def plan_overlaps(plan: AttackPlan, nonce_set: NonceSet,
-                  target_map: dict | None = None) -> dict:
+def plan_overlaps(plan: AttackPlan, nonce_set: NonceSet) -> dict:
     """Achieved |<psi_{i,target}| (V x I) |alpha>|^2 per (nonce, secret) of
     ``nonce_set``, which the plan must cover."""
     plan.validate_for(nonce_set)
     out = {}
     for i, psi in enumerate(nonce_set.states):
         for n, s in enumerate(SECRETS):
-            target = share_state(psi, policy_target(plan.policy, s, target_map))
+            target = share_state(psi, policy_target(plan.policy, s))
             out[(i, s)] = state_fidelity(target, plan.steered[i, n])
     return out
 

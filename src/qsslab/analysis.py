@@ -8,8 +8,8 @@ share averaged over secrets is maximally mixed for every nonce) and
 mixed).  R(s) is the largest average fidelity any single-qubit fake share
 can achieve against Bob's true reduced shares; it upper-bounds the
 probability that an intercept-fake-resend attack forces s to be recovered,
-and the bound is attained constructively via Uhlmann's theorem (see
-``adversary.synthesize_plan``).
+and for every s the fixed-target plan of policy ``target-<s>`` attains it,
+via Uhlmann's theorem (see ``adversary.synthesize_plan``).
 
 Operator deviations are reported in entrywise max-norm.
 """
@@ -24,7 +24,6 @@ from .linalg import (
     TOL,
     bloch_from_density,
     density_from_bloch,
-    fidelity,
     is_pure,
     partial_trace_E,  # noqa: F401 -- benchmarks/traced.py wraps analysis.partial_trace_E
     pure_density,
@@ -125,18 +124,6 @@ def check_recoverability(nonce_set: NonceSet, secrets=None) -> RecoverabilityRep
     )
 
 
-def recovery_amplitude(overlap_sq: float) -> float:
-    """Recovery probability as a function of x = |<s|psi>|^2: x (3 - 4x)^2.
-
-    Equals the exact |<s| U_psi U_s |psi>|^2 for any pure psi with that
-    overlap; it reaches 1 only at x = 1/4 and at the degenerate x = 1.
-    """
-    x = float(overlap_sq)
-    if not 0.0 <= x <= 1.0 + TOL:
-        raise ValidationError(f"overlap_sq must lie in [0, 1], got {x}")
-    return x * (3.0 - 4.0 * x) ** 2
-
-
 # ---------------------------------------------------------------------------
 # Secrecy and intercept-measure-resend protection
 
@@ -209,47 +196,6 @@ def bob_reduced_shares(nonce_set: NonceSet, s: str) -> np.ndarray:
 def r_of_s(nonce_set: NonceSet, s: str) -> tuple[float, np.ndarray]:
     """R(s) and an attaining fake share for the given nonce set."""
     return max_average_fidelity(bob_reduced_shares(nonce_set, s))
-
-
-# ---------------------------------------------------------------------------
-# The Bloch-mean construction behind the universal detection ceiling
-
-def bloch_mean_bound(states) -> float:
-    """Average fidelity of pure single-qubit states against their Bloch mean.
-
-    Requires pure inputs; mixed collections are served by
-    ``max_average_fidelity``.  Note the value is (1 + |mean|^2)/2, which can
-    drop to 1/2 for balanced collections; the quantity the mean provably
-    keeps above 3/4 is the Bloch-distance surrogate, see
-    ``bloch_mean_distance_bound``.
-    """
-    blochs = _pure_blochs(states)
-    mean = blochs.mean(axis=0)
-    gamma = density_from_bloch(mean)
-    return float(np.mean([fidelity(np.asarray(s, dtype=complex), gamma) for s in states]))
-
-
-def bloch_mean_distance_bound(states) -> float:
-    """(1/k) sum_i (1 - |b_i - mean|^2 / 4) = 3/4 + |mean|^2 / 4 >= 3/4.
-
-    This is the Euclidean bound the Bloch mean attains: no other point in
-    the ball gives a smaller average squared distance to the input vectors.
-    """
-    blochs = _pure_blochs(states)
-    mean = blochs.mean(axis=0)
-    sq = ((blochs - mean) ** 2).sum(axis=1)
-    return float(np.mean(1.0 - 0.25 * sq))
-
-
-def _pure_blochs(states) -> np.ndarray:
-    if len(states) == 0:
-        raise ValidationError("need at least one state")
-    mats = np.asarray(states, dtype=complex)
-    if mats.shape[1:] != (2, 2):
-        raise ValidationError("expected single-qubit density matrices")
-    if not is_pure(mats).all():
-        raise ValidationError("bloch_mean_bound requires pure states")
-    return bloch_from_density(mats)
 
 
 # ---------------------------------------------------------------------------

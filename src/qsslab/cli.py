@@ -17,6 +17,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -27,7 +28,7 @@ from . import __version__, adversary, analysis
 from .errors import CertificationError, ValidationError
 from .jsonio import complex_from_json, json_line, load_json, write_json
 from .linalg import validate_state
-from .nonces import NonceSet, resolve_nonce_source
+from .nonces import NonceSet, SECRETS, resolve_nonce_source
 from .protocol import RoundConfig, detection_rate, outcome_distribution, tally_rounds
 
 EXIT_OK = 0
@@ -243,6 +244,43 @@ _REPORT_COLUMNS = (
 )
 
 
+_ROW_TYPES = {
+    "a boolean": lambda v: isinstance(v, bool),
+    # abs(v) < inf, unlike math.isfinite, takes ints beyond float range.
+    "a finite number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    and abs(v) < math.inf,
+    "a non-negative integer": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
+    "a string": lambda v: isinstance(v, str),
+}
+
+# (field of the report body, column, type) of each row value; a
+# certification's detection bounds are optional.
+_CERT_FIELDS = (("nonce_set_name", "nonce_set", "a string"),
+                *((c, c, "a boolean") for c in ("recoverable", "secret", "imr_protected")),
+                *((f"r_of_s.{s}", f"r_{s}", "a finite number") for s in SECRETS))
+_BOUNDS_FIELDS = tuple((f"detection_bounds.{b}", f"detection_{b}", "a finite number")
+                       for b in ("floor", "ceiling"))
+_SIM_FIELDS = (*((c, c, "a string") for c in ("nonce_set", "strategy")),
+               ("rounds", "rounds", "a non-negative integer"),
+               *((c, c, "a finite number")
+                 for c in ("p_detect", "exact_p_detect", "p_eve_knows_secret")))
+
+
+def _row_values(kind: str, body: dict, fields) -> dict:
+    """The row values at ``fields`` of a report body, each checked for its type."""
+    row = {}
+    for field, column, expected in fields:
+        value = body
+        for key in field.split("."):
+            value = value[key]
+        if not _ROW_TYPES[expected](value):
+            got = json.dumps(value)
+            raise ValidationError(f"schema mismatch: {kind}.{field} must be {expected}, "
+                                  f"got {got if len(got) <= 40 else got[:37] + '...'}")
+        row[column] = value
+    return row
+
+
 def _report_entry(payload) -> tuple:
     """A report file's manifest hash and its row of the merged table."""
     if not isinstance(payload, dict):
@@ -255,34 +293,15 @@ def _report_entry(payload) -> tuple:
         raise ValidationError("schema mismatch: unrecognized report kind")
     row = {c: "" for c in _REPORT_COLUMNS}
     try:
-        if not isinstance(payload[kind], dict):
+        body = payload[kind]
+        if not isinstance(body, dict):
             raise TypeError(f'"{kind}" must be an object')
         if kind == "certification":
-            cert = payload["certification"]
-            row.update({
-                "nonce_set": cert["nonce_set_name"],
-                "strategy": "-",
-                "recoverable": cert["recoverable"],
-                "secret": cert["secret"],
-                "imr_protected": cert["imr_protected"],
-                "r_00": cert["r_of_s"]["00"],
-                "r_01": cert["r_of_s"]["01"],
-                "r_10": cert["r_of_s"]["10"],
-                "r_11": cert["r_of_s"]["11"],
-            })
-            if cert.get("detection_bounds"):
-                row["detection_floor"] = cert["detection_bounds"]["floor"]
-                row["detection_ceiling"] = cert["detection_bounds"]["ceiling"]
+            row.update(_row_values(kind, body, _CERT_FIELDS), strategy="-")
+            if body.get("detection_bounds"):
+                row.update(_row_values(kind, body, _BOUNDS_FIELDS))
         else:
-            sim = payload["simulation"]
-            row.update({
-                "nonce_set": sim["nonce_set"],
-                "strategy": sim["strategy"],
-                "rounds": sim["rounds"],
-                "p_detect": sim["p_detect"],
-                "exact_p_detect": sim["exact_p_detect"],
-                "p_eve_knows_secret": sim["p_eve_knows_secret"],
-            })
+            row.update(_row_values(kind, body, _SIM_FIELDS))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"schema mismatch: {exc}") from exc
     return manifest_hash(payload["manifest"]), row

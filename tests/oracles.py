@@ -1,13 +1,17 @@
-"""Test-only helpers: random inputs and reference formulas.
+"""Test-only helpers: random inputs, reference formulas and witnesses.
 
 The random draws feed seeded tests; ``bob_marginal``,
 ``average_recovery`` and ``grid_max_average_fidelity`` are independent
 formulas and searches the package's array code is checked against.
+``recovery_amplitude`` and the two Bloch-mean bounds are the closed-form
+witnesses of the recovery law and of the universal detection ceiling.
 """
 import numpy as np
 
 from qsslab.adversary import AttackPlan
-from qsslab.linalg import PAULI_X, PAULI_Y, PAULI_Z, density_from_bloch, is_pure, state_fidelity
+from qsslab.errors import ValidationError
+from qsslab.linalg import (PAULI_X, PAULI_Y, PAULI_Z, TOL, bloch_from_density, density_from_bloch,
+                           fidelity, is_pure, state_fidelity)
 from qsslab.nonces import NonceSet, SECRETS, share_state, validate_secret
 
 
@@ -46,6 +50,37 @@ def average_recovery(plan: AttackPlan, nonce_set: NonceSet, s: str) -> float:
     for i, psi in enumerate(nonce_set.states):
         total += state_fidelity(share_state(psi, s), plan.steered[i, n])
     return total / len(nonce_set)
+
+
+def recovery_amplitude(overlap_sq: float) -> float:
+    """Recovery probability at x = |<s|psi>|^2: x (3 - 4x)^2, the exact
+    |<s| U_psi U_s |psi>|^2 for any pure psi with that overlap.  It reaches
+    1 only at x = 1/4 and at the degenerate x = 1."""
+    x = float(overlap_sq)
+    if not 0.0 <= x <= 1.0 + TOL:
+        raise ValidationError(f"overlap_sq must lie in [0, 1], got {x}")
+    return x * (3.0 - 4.0 * x) ** 2
+
+
+def _pure_blochs(states) -> np.ndarray:
+    mats = np.asarray(states, dtype=complex)
+    if not is_pure(mats).all():
+        raise ValidationError("the Bloch-mean bounds require pure states")
+    return bloch_from_density(mats)
+
+
+def bloch_mean_bound(states) -> float:
+    """Average fidelity of pure qubit states against their Bloch mean: (1 +
+    |mean|^2)/2, which drops to 1/2 for balanced collections."""
+    gamma = density_from_bloch(_pure_blochs(states).mean(axis=0))
+    return float(np.mean([fidelity(np.asarray(s, dtype=complex), gamma) for s in states]))
+
+
+def bloch_mean_distance_bound(states) -> float:
+    """(1/k) sum_i (1 - |b_i - mean|^2 / 4) = 3/4 + |mean|^2 / 4 >= 3/4, the
+    Euclidean bound the Bloch mean attains: no point of the ball does better."""
+    blochs = _pure_blochs(states)
+    return float(np.mean(1.0 - 0.25 * ((blochs - blochs.mean(axis=0)) ** 2).sum(axis=1)))
 
 
 _GRID_STEP = 0.1

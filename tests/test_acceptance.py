@@ -12,13 +12,10 @@ from qsslab.adversary import (
     synthesize_plan,
 )
 from qsslab.analysis import (
-    bloch_mean_bound,
-    bloch_mean_distance_bound,
     bob_reduced_shares,
     certify,
     max_average_fidelity,
     r_of_s,
-    recovery_amplitude,
 )
 from qsslab.linalg import (
     bloch_from_density,
@@ -50,7 +47,15 @@ from qsslab.protocol import (
     outcome_distribution,
     run_rounds,
 )
-from oracles import bob_marginal, grid_max_average_fidelity, haar_state, haar_unitaries
+from oracles import (
+    bloch_mean_bound,
+    bloch_mean_distance_bound,
+    bob_marginal,
+    grid_max_average_fidelity,
+    haar_state,
+    haar_unitaries,
+    recovery_amplitude,
+)
 
 TOL = 1e-9
 EYE2 = np.eye(2, dtype=complex)

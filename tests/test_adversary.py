@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qsslab.adversary import (
+    POLICIES,
     AttackPlan,
     honest_strategy,
     ifr_strategy,
@@ -90,9 +91,8 @@ class TestSynthesis:
             for s in SECRETS:
                 np.testing.assert_allclose(plan.v_table[(i, s)], base, atol=TOL)
 
-    def test_custom_policy_target_map(self, proposed_set):
-        plan = synthesize_plan(proposed_set, "custom",
-                               target_map={s: "10" for s in SECRETS})
+    def test_fixed_target_policy(self, proposed_set):
+        plan = synthesize_plan(proposed_set, "target-10")
         target = share_state(proposed_set.states[0], "10")
         steered = np.kron(plan.v_table[(0, "00")], EYE2) @ plan.alpha
         assert state_fidelity(steered, target) == pytest.approx(0.5, abs=TOL)
@@ -129,10 +129,6 @@ class TestSynthesis:
             alpha = synthesize_plan(ns, policy).alpha
             marginal = partial_trace_E(pure_density(alpha))
             assert np.abs(marginal - optimizers[0]).max() <= 1e-12, (ns.name, policy)
-
-    def test_custom_policy_requires_map(self):
-        with pytest.raises(ValidationError):
-            policy_target("custom", "00", None)
 
 
 class TestKnownAttackReproduction:
@@ -260,7 +256,7 @@ class TestPlanOptimality:
 
     def test_synthesized_plan_attains_bound(self, proposed_set):
         for s in SECRETS:
-            plan = synthesize_plan(proposed_set, "custom", target_map={t: s for t in SECRETS})
+            plan = synthesize_plan(proposed_set, f"target-{s}")
             value, _ = r_of_s(proposed_set, s)
             assert average_recovery(plan, proposed_set, s) == pytest.approx(value, abs=TOL)
 
@@ -361,6 +357,21 @@ class TestPlanSerialization:
         path.write_text('{"alpha": "nope"}')
         with pytest.raises(ValidationError):
             load_plan(path)
+
+    @pytest.mark.parametrize("name", ["hsu-I", "proposed-J"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_every_policy_round_trips(self, name, policy, tmp_path):
+        """A plan file names its own target: read back, it scores and plays
+        under its policy with no other input."""
+        ns = builtin_nonce_set(name)
+        plan = synthesize_plan(ns, policy)
+        save_plan(plan, tmp_path / "plan.json")
+        loaded = load_plan(tmp_path / "plan.json")
+        assert plan_overlaps(loaded, ns) == plan_overlaps(plan, ns)
+        assert ifr_strategy(loaded, ns).name == f"ifr:{policy}"
+        if name == "proposed-J" and policy != "target-secret":
+            t = policy.removeprefix("target-")
+            assert average_recovery(loaded, ns, t) == pytest.approx(r_of_s(ns, t)[0], abs=TOL)
 
 
 class TestStrategyRebind:

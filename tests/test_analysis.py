@@ -4,8 +4,6 @@ import pytest
 from qsslab import analysis
 from qsslab.adversary import synthesize_plan
 from qsslab.analysis import (
-    bloch_mean_bound,
-    bloch_mean_distance_bound,
     certify,
     check_imr,
     check_recoverability,
@@ -14,7 +12,6 @@ from qsslab.analysis import (
     format_certification,
     max_average_fidelity,
     r_of_s,
-    recovery_amplitude,
 )
 from qsslab.errors import CertificationError, ValidationError
 from qsslab.linalg import (
@@ -36,7 +33,14 @@ from qsslab.nonces import (
     builtin_nonce_set,
     reflection,
 )
-from oracles import grid_max_average_fidelity, haar_state, random_density
+from oracles import (
+    bloch_mean_bound,
+    bloch_mean_distance_bound,
+    grid_max_average_fidelity,
+    haar_state,
+    random_density,
+    recovery_amplitude,
+)
 
 EYE2 = np.eye(2, dtype=complex)
 BASIS_00_SET = NonceSet(name="basis00", states=(np.array([1, 0, 0, 0], dtype=complex),))

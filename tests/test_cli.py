@@ -363,6 +363,30 @@ _SIM = ["simulate", "--nonces", "builtin:proposed-J", "--strategy", "honest"]
      "padded_plan.json: v_table key '01,00' must read"),
     (_SIM[:4] + ["ifr:{tmp}/long_index_plan.json", "--rounds", "5"], {}, 2,
      "long_index_plan.json: v_table key '11111111111111111111"),
+    # A plan names its target by its policy; "custom" names none.
+    (_SIM[:4] + ["ifr:{tmp}/custom_plan.json", "--exact"], {}, 2,
+     "custom_plan.json: policy must be one of"),
+    # report checks the type of every value it puts in a row.
+    (["report", "--inputs", "{tmp}/maybe.json", "--out", "{tmp}/m"], {}, 2,
+     'maybe.json: schema mismatch: certification.recoverable must be a boolean, got "maybe"'),
+    (["report", "--inputs", "{tmp}/r_list.json", "--out", "{tmp}/m"], {}, 2,
+     "r_list.json: schema mismatch: certification.r_of_s.00 must be a finite number, got [1, 2]"),
+    (["report", "--inputs", "{tmp}/r_bool.json", "--out", "{tmp}/m"], {}, 2,
+     "r_bool.json: schema mismatch: certification.r_of_s.01 must be a finite number, got true"),
+    (["report", "--inputs", "{tmp}/floor_nan.json", "--out", "{tmp}/m"], {}, 2,
+     "floor_nan.json: schema mismatch: certification.detection_bounds.floor must be a finite "
+     "number, got NaN"),
+    (["report", "--inputs", "{tmp}/set_int.json", "--out", "{tmp}/m"], {}, 2,
+     "set_int.json: schema mismatch: certification.nonce_set_name must be a string, got 5"),
+    (["report", "--inputs", "{tmp}/rounds_neg.json", "--out", "{tmp}/m"], {}, 2,
+     "rounds_neg.json: schema mismatch: simulation.rounds must be a non-negative integer, got -1"),
+    (["report", "--inputs", "{tmp}/rounds_float.json", "--out", "{tmp}/m"], {}, 2,
+     "rounds_float.json: schema mismatch: simulation.rounds must be a non-negative integer, "
+     "got 2.5"),
+    (["report", "--inputs", "{tmp}/p_str.json", "--out", "{tmp}/m"], {}, 2,
+     'p_str.json: schema mismatch: simulation.p_detect must be a finite number, got "0.5"'),
+    (["report", "--inputs", "{tmp}/strategy_null.json", "--out", "{tmp}/m"], {}, 2,
+     "strategy_null.json: schema mismatch: simulation.strategy must be a string, got null"),
 ])
 def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, argv, env, code, message):
     (tmp_path / "states5.json").write_text(json.dumps({"name": "x", "states": 5}))
@@ -387,6 +411,27 @@ def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, argv, env, code, me
     del plan["v_table"]["01,00"]
     plan["v_table"]["1" * 5000 + ",00"] = plan["v_table"]["1,00"]
     (tmp_path / "long_index_plan.json").write_text(json.dumps(plan))
+    plan["v_table"] = {f"{i},{s}": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+                       for i in range(1, 5) for s in ("00", "01", "10", "11")}
+    plan["policy"] = "custom"
+    (tmp_path / "custom_plan.json").write_text(json.dumps(plan))
+    cert = {"nonce_set_name": "x", "recoverable": True, "secret": True, "imr_protected": True,
+            "r_of_s": dict.fromkeys(("00", "01", "10", "11"), 0.5),
+            "detection_bounds": {"floor": 0.25, "ceiling": 0.625}}
+    sim = {"nonce_set": "x", "strategy": "honest", "rounds": 5, "p_detect": 0.0,
+           "exact_p_detect": 0.0, "p_eve_knows_secret": 0.0}
+    for name, kind, body in (
+            ("maybe", "certification", {**cert, "recoverable": "maybe"}),
+            ("r_list", "certification", {**cert, "r_of_s": {**cert["r_of_s"], "00": [1, 2]}}),
+            ("r_bool", "certification", {**cert, "r_of_s": {**cert["r_of_s"], "01": True}}),
+            ("floor_nan", "certification",
+             {**cert, "detection_bounds": {"floor": float("nan"), "ceiling": 0.625}}),
+            ("set_int", "certification", {**cert, "nonce_set_name": 5}),
+            ("rounds_neg", "simulation", {**sim, "rounds": -1}),
+            ("rounds_float", "simulation", {**sim, "rounds": 2.5}),
+            ("p_str", "simulation", {**sim, "p_detect": "0.5"}),
+            ("strategy_null", "simulation", {**sim, "strategy": None})):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"kind": kind, "manifest": {}, kind: body}))
     (tmp_path / "alpha5.json").write_text(json.dumps([[0.5, 0.0]] * 4 + [[0.0, 0.0]]))
     (tmp_path / "alpha00.json").write_text(json.dumps([[1.0, 0.0]] + [[0.0, 0.0]] * 3))
     _write_near_recoverable(tmp_path)

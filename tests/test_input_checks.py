@@ -42,10 +42,6 @@ CHECKS = {
         lambda: analysis.check_recoverability(PROPOSED, secrets=[]), "need at least one secret"),
     "analysis: no states": (
         lambda: analysis.max_average_fidelity([]), "need at least one state"),
-    "analysis: Bloch mean of no states": (
-        lambda: analysis.bloch_mean_bound([]), "need at least one state"),
-    "analysis: Bloch mean of two-qubit states": (
-        lambda: analysis.bloch_mean_bound([EYE4 / 4]), "expected single-qubit density matrices"),
     "protocol: negative seed": (
         lambda: protocol.RoundConfig(nonce_set=PROPOSED, rng_seed=-1),
         "rng_seed must be a non-negative integer, got -1"),
