@@ -51,7 +51,7 @@ POLICIES = (POLICY_TARGET_SECRET, *(f"target-{t}" for t in SECRETS))
 
 
 # Measurement outcomes of probability at or below this never happen.
-_MIN_OUTCOME_P = 1e-30
+MIN_OUTCOME_P = 1e-30
 # The secret each recovery outcome b teaches Eve, as one row of branches.
 _LEARNED = np.array([SECRETS])
 
@@ -60,11 +60,11 @@ def _recovery_outcomes(reflections: np.ndarray, share: np.ndarray) -> list:
     """Measure ``share`` after each reflection of the ``(rows, 4, 4)`` stack.
 
     Returns ``(probability, row, outcome index)`` for every outcome of
-    probability above ``_MIN_OUTCOME_P``; the rest are dropped.
+    probability above ``MIN_OUTCOME_P``; the rest are dropped.
     """
     probs = (np.abs(reflections @ share) ** 2).tolist()
     return [(p, row, b) for row, ps in enumerate(probs) for b, p in enumerate(ps)
-            if p > _MIN_OUTCOME_P]
+            if p > MIN_OUTCOME_P]
 
 
 def _check_same_set(bound: NonceSet, given: NonceSet) -> None:
@@ -154,6 +154,11 @@ class ImrGuessStrategy:
                 for p, row, b in _recovery_outcomes(nonce_set.reflections[first:stop], share)]
 
 
+def steer(alpha: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
+    """(V x I)|alpha> for each V of a (K, 4, 2, 2) stack: shape (K, 4, 4)."""
+    return (unitaries @ alpha.reshape(2, 2)).reshape(-1, 4, 4)
+
+
 @dataclass(frozen=True, eq=False)
 class AttackPlan:
     """Eve's committed fake state plus her stack of steering unitaries.
@@ -189,8 +194,7 @@ class AttackPlan:
             validate_unitary(unitaries, dim=2, names=[
                 f"v_table entry {i + 1},{s}" for i in range(len(unitaries)) for s in SECRETS])
             raise
-        steered = (unitaries @ alpha.reshape(2, 2)).reshape(-1, 4, 4)
-        self.__setstate__({"alpha": alpha, "unitaries": unitaries, "steered": steered})
+        self.__setstate__({"alpha": alpha, "unitaries": unitaries, "steered": steer(alpha, unitaries)})
 
     def __setstate__(self, state):
         """Set the validated arrays, read-only.  ``copy`` and ``pickle`` restore
@@ -306,7 +310,7 @@ class IfrStrategy:
         learns SECRETS[b] with the recovery probability of outcome b."""
         _check_same_set(self._nonce_set, nonce_set)
         probs = nonce_set.recovery_stack()[:, SECRETS.index(validate_secret(s))]
-        weights = np.where(probs > _MIN_OUTCOME_P, probs, 0.0)
+        weights = np.where(probs > MIN_OUTCOME_P, probs, 0.0)
         return weights, self.plan.steered[:len(weights)], _LEARNED.repeat(len(weights), axis=0)
 
 
@@ -334,9 +338,35 @@ def _optimizer_state(nonce_set: NonceSet, targets: list) -> np.ndarray:
     # Only target-secret has more than one target; when every target's
     # maximizer is the same state (I/2 for both builtin sets) the average
     # keeps it, because an average of concave objectives that share a
-    # maximizer is maximized there too.
-    sigmas = nonce_set.reduced_share_stack()[:, targets].swapaxes(0, 1).reshape(-1, 2, 2)
-    return analysis.max_average_fidelity(sigmas)[1]
+    # maximizer is maximized there too.  Means in target-major order, as
+    # ``max_average_fidelity`` takes them over the stacked reduced shares.
+    b_mean = nonce_set.reduced_blochs[:, targets].swapaxes(0, 1).reshape(-1, 3).mean(axis=0)
+    c_mean = float(nonce_set.reduced_root_dets[:, targets].T.reshape(-1).mean())
+    return analysis.fidelity_optimum(b_mean, c_mean)[1]
+
+
+def require_recoverable(nonce_set: NonceSet) -> None:
+    """Refuse a nonce set whose overlap deviation is not below ``TOL``."""
+    deviation = analysis.overlap_deviation(nonce_set)
+    if not deviation < TOL:
+        raise CertificationError(
+            "nonce set is not recoverable (worst overlap deviation "
+            f"{deviation:.3g}); attack synthesis assumes recoverability"
+        )
+
+
+def plan_arrays(nonce_set: NonceSet, policy: str,
+                alpha: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The ``alpha`` and ``unitaries`` of ``synthesize_plan``, unwrapped and
+    with no recoverability check; a fixed target takes one SVD per nonce."""
+    targets = [SECRETS.index(policy_target(policy, s)) for s in SECRETS]
+    if alpha is None:
+        alpha = canonical_purification(_optimizer_state(nonce_set, targets))
+    else:
+        alpha = validate_state(alpha, dim=4, what="alpha")
+    distinct = targets if policy == POLICY_TARGET_SECRET else targets[:1]
+    v, _ = max_overlap_unitary(alpha, nonce_set.share_stack()[:, distinct])
+    return alpha, v.repeat(4 // len(distinct), axis=1)
 
 
 def synthesize_plan(nonce_set: NonceSet, policy: str,
@@ -348,19 +378,8 @@ def synthesize_plan(nonce_set: NonceSet, policy: str,
     an explicit ``alpha`` (any normalized two-qubit state) is forced; each
     steering unitary is Uhlmann-optimal toward the policy's target share.
     """
-    deviation = analysis.overlap_deviation(nonce_set)
-    if not deviation < TOL:
-        raise CertificationError(
-            "nonce set is not recoverable (worst overlap deviation "
-            f"{deviation:.3g}); attack synthesis assumes recoverability"
-        )
-    targets = [SECRETS.index(policy_target(policy, s)) for s in SECRETS]
-    if alpha is None:
-        alpha = canonical_purification(_optimizer_state(nonce_set, targets))
-    else:
-        alpha = validate_state(alpha, dim=4, what="alpha")
-    v, _ = max_overlap_unitary(alpha, nonce_set.share_stack()[:, targets])
-    return AttackPlan(alpha, v, policy)
+    require_recoverable(nonce_set)
+    return AttackPlan(*plan_arrays(nonce_set, policy, alpha), policy)
 
 
 def plan_overlaps(plan: AttackPlan, nonce_set: NonceSet) -> dict:

@@ -9,7 +9,8 @@ mixed).  R(s) is the largest average fidelity any single-qubit fake share
 can achieve against Bob's true reduced shares; it upper-bounds the
 probability that an intercept-fake-resend attack forces s to be recovered,
 and for every s the fixed-target plan of policy ``target-<s>`` attains it,
-via Uhlmann's theorem (see ``adversary.synthesize_plan``).
+via Uhlmann's theorem (see ``adversary.synthesize_plan``).  The detection
+floor and ceiling are closed forms over those plans' steered states.
 
 Operator deviations are reported in entrywise max-norm.
 """
@@ -24,7 +25,7 @@ from .linalg import (
     TOL,
     bloch_from_density,
     density_from_bloch,
-    is_pure,
+    fidelity_terms,
     partial_trace_E,  # noqa: F401 -- benchmarks/traced.py wraps analysis.partial_trace_E
     pure_density,
     validate_state,
@@ -41,6 +42,7 @@ from .nonces import (
     share_state,  # noqa: F401 -- benchmarks/traced.py wraps analysis.share_state
     validate_secret,
 )
+from .protocol import EAVESDROPPER_DETECTED, MODE_SECRETS, MODES, RETIRED, VERDICTS, VERDICT_INDEX
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +154,9 @@ def check_imr(nonce_set: NonceSet) -> float:
 
 def _objective_coeffs(sigmas) -> tuple[np.ndarray, float]:
     """Average qubit fidelity against the stack ``sigmas`` at Bloch point p
-    reads 1/2 + (p . b_mean)/2 + c_mean * sqrt(1 - |p|^2).
-
-    A pure sigma contributes exactly 0 to c_mean; its float-noise
-    determinant would otherwise add about 3e-9 per state."""
-    sigmas = np.asarray(sigmas, dtype=complex)
-    dets = np.where(is_pure(sigmas), 0.0, np.maximum(np.linalg.det(sigmas).real, 0.0))
-    return bloch_from_density(sigmas).mean(axis=0), float(np.sqrt(dets).mean())
+    reads 1/2 + (p . b_mean)/2 + c_mean * sqrt(1 - |p|^2)."""
+    blochs, root_dets = fidelity_terms(sigmas)
+    return blochs.mean(axis=0), float(root_dets.mean())
 
 
 def max_average_fidelity(sigmas) -> tuple[float, np.ndarray]:
@@ -177,7 +175,11 @@ def max_average_fidelity(sigmas) -> tuple[float, np.ndarray]:
     """
     if len(sigmas) == 0:
         raise ValidationError("need at least one state")
-    b_mean, c_mean = _objective_coeffs(sigmas)
+    return fidelity_optimum(*_objective_coeffs(sigmas))
+
+
+def fidelity_optimum(b_mean: np.ndarray, c_mean: float) -> tuple[float, np.ndarray]:
+    """``max_average_fidelity`` from the objective's mean coefficients b and c."""
     radius = float(np.sqrt(b_mean @ b_mean + 4.0 * c_mean * c_mean))
     value = 0.5 + 0.5 * radius
     center = float(0.5 + c_mean)
@@ -208,20 +210,38 @@ def detection_bounds(nonce_set: NonceSet, mode_prior: float = 0.5) -> dict:
     probability that the fixed-target plan forces an opposite-bit outcome;
     ``floor`` is the smallest exact detection probability among the shipped
     plan policies.  Requires a recoverable nonce set.
+
+    A closed form: each (mode, s, nonce, b, b') mass |<b'| U_psi_i (V_{i,b}
+    x I)|alpha>|^2, weighted by Eve's recovery of b, is added to its verdict
+    in the exact engine's order, so every value equals the engine's bit for bit.
     """
     from . import adversary
-    from .protocol import RETIRED, outcome_distribution
 
+    adversary.require_recoverable(nonce_set)
+    if not 0.0 <= mode_prior <= 1.0:
+        raise ValidationError(f"mode_prior must be in [0, 1], got {mode_prior}")
+    k = len(nonce_set)
+    recovery = nonce_set.recovery_stack()
+    branches = np.where(recovery > adversary.MIN_OUTCOME_P, recovery, 0.0)
+    # The engine's (mode, s) blocks, in order: branch weights and verdicts of b'.
+    cells = [(m, SECRETS.index(s), p_mode * 0.5 / k)
+             for m, p_mode in enumerate((mode_prior, 1.0 - mode_prior)) if p_mode != 0.0
+             for s in MODE_SECRETS[MODES[m]]]
+    weights = np.array([np.multiply(base, branches[:, n]) for _, n, base in cells])[..., None]
+    verdicts = np.array([VERDICT_INDEX[m, n] for m, n, _ in cells]).repeat(4 * k, axis=0).ravel()
     per_policy = {}
     success01 = 0.0
     for policy in (adversary.POLICY_TARGET_SECRET, adversary.POLICY_TARGET_01):
-        plan = adversary.synthesize_plan(nonce_set, policy)
-        strat = adversary.ifr_strategy(plan, nonce_set)
-        dist = outcome_distribution(nonce_set, strat, mode_prior=mode_prior)
-        per_policy[policy] = dist.p_detect
+        alpha, unitaries = adversary.plan_arrays(nonce_set, policy)
+        steered = adversary.steer(validate_state(alpha, dim=4, what="alpha"), unitaries)
+        outcomes = np.abs(nonce_set.reflections[:, None] @ steered[..., None])[..., 0] ** 2
+        masses = np.zeros(len(VERDICTS))
+        # One by one, in order, as the engine adds; np.add.reduce sums pairwise.
+        np.add.at(masses, verdicts, (weights * outcomes).ravel())
+        per_policy[policy] = float(masses[VERDICTS.index(EAVESDROPPER_DETECTED)])
         if policy == adversary.POLICY_TARGET_01 and mode_prior > 0.0:
             # RETIRED is exactly a SECRET-mode round that measured 01 or 10.
-            success01 = dist.verdict_probs[RETIRED] / mode_prior
+            success01 = float(masses[VERDICTS.index(RETIRED)]) / mode_prior
     return {
         "floor": min(per_policy.values()),
         "ceiling": 1.0 - mode_prior * success01,

@@ -251,13 +251,17 @@ _ROW_TYPES = {
     and abs(v) < math.inf,
     "a non-negative integer": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
     "a string": lambda v: isinstance(v, str),
+    "null or an object with a floor and a ceiling":
+    lambda v: v is None or isinstance(v, dict) and {"floor", "ceiling"} <= v.keys(),
 }
 
 # (field of the report body, column, type) of each row value; a
-# certification's detection bounds are optional.
+# certification's detection bounds are null when it has none.
 _CERT_FIELDS = (("nonce_set_name", "nonce_set", "a string"),
                 *((c, c, "a boolean") for c in ("recoverable", "secret", "imr_protected")),
-                *((f"r_of_s.{s}", f"r_{s}", "a finite number") for s in SECRETS))
+                *((f"r_of_s.{s}", f"r_{s}", "a finite number") for s in SECRETS),
+                ("detection_bounds", "detection_bounds",
+                 "null or an object with a floor and a ceiling"))
 _BOUNDS_FIELDS = tuple((f"detection_bounds.{b}", f"detection_{b}", "a finite number")
                        for b in ("floor", "ceiling"))
 _SIM_FIELDS = (*((c, c, "a string") for c in ("nonce_set", "strategy")),
@@ -298,7 +302,7 @@ def _report_entry(payload) -> tuple:
             raise TypeError(f'"{kind}" must be an object')
         if kind == "certification":
             row.update(_row_values(kind, body, _CERT_FIELDS), strategy="-")
-            if body.get("detection_bounds"):
+            if row.pop("detection_bounds") is not None:
                 row.update(_row_values(kind, body, _BOUNDS_FIELDS))
         else:
             row.update(_row_values(kind, body, _SIM_FIELDS))

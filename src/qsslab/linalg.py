@@ -104,6 +104,15 @@ def is_pure(rho):
     return np.abs(np.einsum("...ab,...ba->...", rho, rho).real - 1.0) <= TOL
 
 
+def fidelity_terms(sigmas) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch vectors and sqrt(det) of a stack of qubit density matrices, the
+    per-matrix terms of their average fidelity; sqrt(det) is exactly 0 where
+    ``is_pure`` holds, not its float noise (about 3e-9)."""
+    sigmas = np.asarray(sigmas, dtype=complex)
+    dets = np.where(is_pure(sigmas), 0.0, np.maximum(np.linalg.det(sigmas).real, 0.0))
+    return bloch_from_density(sigmas), np.sqrt(dets)
+
+
 def state_fidelity(a, b) -> float:
     """|<a|b>|^2 for two pure states of equal dimension."""
     return float(abs(np.vdot(np.asarray(a), np.asarray(b))) ** 2)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .jsonio import complex_from_json, complex_to_json, load_json
-from .linalg import partial_trace_E, pure_density, tensor, validate_state
+from .linalg import fidelity_terms, partial_trace_E, pure_density, tensor, validate_state
 
 SECRETS = ("00", "01", "10", "11")
 
@@ -85,9 +85,11 @@ class NonceSet:
 
     Any sequence of state vectors is validated row by row into ``states``,
     a read-only (k, 4) array; the reflections U_psi (k, 4, 4), the share
-    stack, Bob's reduced shares and the recovery probabilities are built
-    with it, read-only too.  ``copy`` and ``pickle`` keep the arrays as
-    they are, read-only, without validating again.
+    stack, Bob's reduced shares with their ``linalg.fidelity_terms``
+    (``reduced_blochs`` (k, 4, 3) and ``reduced_root_dets`` (k, 4)) and the
+    recovery probabilities are built with it, read-only too.  ``copy`` and
+    ``pickle`` keep the arrays as they are, read-only, without validating
+    again.
     """
 
     name: str
@@ -95,6 +97,8 @@ class NonceSet:
     reflections: np.ndarray = field(init=False, repr=False)
     _shares: np.ndarray = field(init=False, repr=False)
     _reduced: np.ndarray = field(init=False, repr=False)
+    reduced_blochs: np.ndarray = field(init=False, repr=False)
+    reduced_root_dets: np.ndarray = field(init=False, repr=False)
     _recovery: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -109,8 +113,10 @@ class NonceSet:
         # One matrix-vector product per (nonce, secret), so each secret's
         # slice equals a (k, 4, 4) @ (k, 4, 1) product bit for bit.
         recovery = np.abs(reflections[:, None] @ shares[..., None])[..., 0] ** 2
-        set_frozen(self, states=states, reflections=reflections, _shares=shares,
-                   _reduced=partial_trace_E(pure_density(shares)), _recovery=recovery)
+        reduced = partial_trace_E(pure_density(shares))
+        blochs, root_dets = fidelity_terms(reduced)
+        set_frozen(self, states=states, reflections=reflections, _shares=shares, _reduced=reduced,
+                   reduced_blochs=blochs, reduced_root_dets=root_dets, _recovery=recovery)
 
     def __setstate__(self, state):
         # Copies and unpickled sets keep the validated arrays bit for bit.

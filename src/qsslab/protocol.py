@@ -267,7 +267,7 @@ class ExactDistribution:
 
 # Stage IV verdict of every (mode, s, b) as an index into VERDICTS, axes
 # ordered as MODES, SECRETS, SECRETS.
-_VERDICT_INDEX = np.array([
+VERDICT_INDEX = np.array([
     [[VERDICTS.index(stage_iv_verdict(mode, s, b)[0]) for b in SECRETS] for s in SECRETS]
     for mode in MODES
 ])
@@ -309,7 +309,7 @@ def outcome_distribution(nonce_set: NonceSet, strategy, mode_prior: float = 0.5)
     Each block of draws maps its branches to (nonce, branch, b) probability
     mass with one matmul.  Its sums over branches fill rows of a (mode, s,
     nonce, b) grid, from which the table is read; ``np.add.at`` adds the
-    block to the verdict masses through ``_VERDICT_INDEX``, and Eve's hits
+    block to the verdict masses through ``VERDICT_INDEX``, and Eve's hits
     are added one by one, all in the (mode, s, nonce, branch, b) order of a
     scalar loop, so sums round alike however the draws are blocked.  A
     branch of weight 0 adds exact zeros.
@@ -326,7 +326,7 @@ def outcome_distribution(nonce_set: NonceSet, strategy, mode_prior: float = 0.5)
         base = p_mode * 0.5 / k
         for s in MODE_SECRETS[mode]:
             row = grid[m, SECRETS.index(s)]
-            verdict_of_b = _VERDICT_INDEX[m, SECRETS.index(s)][None]
+            verdict_of_b = VERDICT_INDEX[m, SECRETS.index(s)][None]
             for first, p_branch, joints, learned in _exact_blocks(nonce_set, strategy, s):
                 stop = first + len(p_branch)
                 weights = np.multiply(base, p_branch)

@@ -387,6 +387,12 @@ _SIM = ["simulate", "--nonces", "builtin:proposed-J", "--strategy", "honest"]
      'p_str.json: schema mismatch: simulation.p_detect must be a finite number, got "0.5"'),
     (["report", "--inputs", "{tmp}/strategy_null.json", "--out", "{tmp}/m"], {}, 2,
      "strategy_null.json: schema mismatch: simulation.strategy must be a string, got null"),
+    # certify writes null or both bounds; no other value means "no bounds".
+    *((["report", "--inputs", f"{{tmp}}/bounds_{label}.json", "--out", "{tmp}/m"], {}, 2,
+       f"bounds_{label}.json: schema mismatch: certification.detection_bounds must be null or "
+       f"an object with a floor and a ceiling, got {text}")
+      for label, text in (("false", "false"), ("zero", "0"), ("empty_object", "{}"),
+                          ("empty_list", "[]"), ("empty_string", '""'))),
 ])
 def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, argv, env, code, message):
     (tmp_path / "states5.json").write_text(json.dumps({"name": "x", "states": 5}))
@@ -430,7 +436,10 @@ def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, argv, env, code, me
             ("rounds_neg", "simulation", {**sim, "rounds": -1}),
             ("rounds_float", "simulation", {**sim, "rounds": 2.5}),
             ("p_str", "simulation", {**sim, "p_detect": "0.5"}),
-            ("strategy_null", "simulation", {**sim, "strategy": None})):
+            ("strategy_null", "simulation", {**sim, "strategy": None}),
+            *((f"bounds_{label}", "certification", {**cert, "detection_bounds": value})
+              for label, value in (("false", False), ("zero", 0), ("empty_object", {}),
+                                   ("empty_list", []), ("empty_string", "")))):
         (tmp_path / f"{name}.json").write_text(json.dumps({"kind": kind, "manifest": {}, kind: body}))
     (tmp_path / "alpha5.json").write_text(json.dumps([[0.5, 0.0]] * 4 + [[0.0, 0.0]]))
     (tmp_path / "alpha00.json").write_text(json.dumps([[1.0, 0.0]] + [[0.0, 0.0]] * 3))

@@ -4,14 +4,18 @@ The exact engine takes one ``exact_block`` per (mode, s) from the builtin
 honest and intercept-fake-resend strategies, and one block per nonce from
 any other strategy.  Both routes must give the same table, verdict masses
 and Eve's hit probability bit for bit (``==``, not approx).  The bounds of
-``detection_bounds`` must equal the same way those read from the exact
-tables of the plans' IFR strategies.
+``detection_bounds``, a closed form that builds no plan, strategy or
+table, must equal the same way those read from the exact tables of the
+plans' IFR strategies.
 """
 import numpy as np
 import pytest
 
-from qsslab.adversary import AttackPlan, honest_strategy, ifr_strategy, synthesize_plan
+from qsslab import adversary, protocol
+from qsslab.adversary import (POLICIES, AttackPlan, honest_strategy, ifr_strategy, plan_arrays,
+                              synthesize_plan)
 from qsslab.analysis import detection_bounds
+from qsslab.linalg import max_overlap_unitary, validate_state
 from qsslab.nonces import NonceSet, SECRETS, builtin_nonce_set
 from qsslab.protocol import RETIRED, outcome_distribution
 from oracles import haar_state, haar_unitaries
@@ -77,6 +81,40 @@ def test_detection_bounds_equal_the_strategy_route(prior):
         assert bounds["per_policy"] == per_policy, where
         assert bounds["floor"] == min(per_policy.values()), where
         assert bounds["ceiling"] == 1.0 - prior * success01, where
+
+
+def test_detection_bounds_need_no_engine(monkeypatch):
+    # The == test above would hold trivially if detection_bounds ran the engine.
+    sets = [builtin_nonce_set("hsu-I"), builtin_nonce_set("proposed-J")]
+    want = [detection_bounds(ns) for ns in sets]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("detection_bounds reached the exact engine or a plan object")
+
+    for owner, name in ((protocol, "outcome_distribution"), (protocol, "ExactDistribution"),
+                        (adversary, "AttackPlan"), (adversary, "IfrStrategy"),
+                        (adversary, "ifr_strategy"), (adversary, "synthesize_plan")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert [detection_bounds(ns) for ns in sets] == want
+
+
+def test_fixed_target_plans_equal_the_full_stack_svd():
+    # A target-<t> plan takes one SVD per nonce; it must equal the SVD of
+    # every (nonce, secret) target share, byte for byte.
+    sets = [builtin_nonce_set("hsu-I"), builtin_nonce_set("proposed-J")] + _phase_sets(64)
+    assert {len(ns) for ns in sets} >= set(range(1, 65))
+    forced = haar_state(4, np.random.default_rng(13))
+    for ns in sets:
+        for policy in (p for p in POLICIES if p != "target-secret"):
+            t = SECRETS.index(policy.removeprefix("target-"))
+            for alpha in (None, forced):
+                given = plan_arrays(ns, policy)[0] if alpha is None else validate_state(alpha, dim=4)
+                want, _ = max_overlap_unitary(given, ns.share_stack()[:, [t] * 4])
+                plan = synthesize_plan(ns, policy, alpha=alpha)
+                where = f"{ns.name} k={len(ns)} {policy} forced={alpha is not None}"
+                assert plan.unitaries.tobytes() == want.tobytes(), where
+                steered = (want @ plan.alpha.reshape(2, 2)).reshape(-1, 4, 4)
+                assert plan.steered.tobytes() == steered.tobytes(), where
 
 
 @pytest.mark.parametrize("k", [1, 3, 16])
