@@ -12,11 +12,11 @@ the ``learned_secret`` attribute, are all the protocol engines use:
 * ``exact_branches(nonce_set, i, s)`` -- the same behaviour expressed as a
   finite list of ``(probability, joint_state, learned_secret)`` branches,
   consumed by the exact enumeration engine;
-* ``exact_block(nonce_set, s)``   -- optional: the branches of every nonce at
-  once for secret s, as ``(weights, joints, learned)`` arrays of shapes
-  ``(k, n)``, ``(k, n, 4)`` and ``(k, n)``; a branch of weight 0 never
-  happens.  The exact engine prefers it to ``exact_branches``.  The honest
-  and intercept-fake-resend strategies have it.
+* ``exact_block(nonce_set, s)``   -- optional: every nonce's branches at once
+  for secret s, as ``(weights, outcomes, learned)`` arrays of shapes ``(k, n)``,
+  ``(k, n, 4)`` (Stage III's outcome probabilities) and ``(k, n)``; a branch
+  of weight 0 never happens.  The exact engine prefers it to
+  ``exact_branches``.  The honest and intercept-fake-resend strategies have it.
 
 ``learned_secret`` is whatever 2-bit string Eve has reconstructed this
 round, or None; the Monte Carlo engine reads it once both hooks of the
@@ -100,9 +100,8 @@ class HonestStrategy:
         return [(1.0, share_state(nonce_set.states[i], s), None)]
 
     def exact_block(self, nonce_set, s):
-        k = len(nonce_set)
-        shares = nonce_set.share_stack()[:, SECRETS.index(validate_secret(s))]
-        return np.ones((k, 1)), shares[:, None], np.full((k, 1), None)
+        outcomes = nonce_set.recovery_stack()[:, SECRETS.index(validate_secret(s)), None]
+        return np.ones(outcomes.shape[:2]), outcomes, np.full(outcomes.shape[:2], None)
 
 
 class ImrGuessStrategy:
@@ -281,11 +280,13 @@ class IfrStrategy:
         self.plan = plan
         self.learned_secret = None
         self._retained = None
-        # The engine announces only an index, so the strategy keeps a
-        # reference to the (public) nonce set it is playing against.  Every
-        # hook reads the plan's read-only arrays, so nothing is copied.
+        # The engine announces only an index, so the strategy keeps the (public)
+        # nonce set it plays.  Stage III's outcomes [i, b, b'] do not depend on s:
+        # one (k, 1, 4, 4) @ (k, 4, 4, 1) product, as in detection_bounds.
         self._nonce_set = nonce_set
         self.name = f"ifr:{plan.policy}"
+        steered = plan.steered[:len(nonce_set), ..., None]
+        self._outcomes = np.abs(nonce_set.reflections[:, None] @ steered)[..., 0] ** 2
 
     def intercept(self, share, rng):
         self._retained = np.array(share, dtype=complex)
@@ -311,7 +312,7 @@ class IfrStrategy:
         _check_same_set(self._nonce_set, nonce_set)
         probs = nonce_set.recovery_stack()[:, SECRETS.index(validate_secret(s))]
         weights = np.where(probs > MIN_OUTCOME_P, probs, 0.0)
-        return weights, self.plan.steered[:len(weights)], _LEARNED.repeat(len(weights), axis=0)
+        return weights, self._outcomes, _LEARNED.repeat(len(weights), axis=0)
 
 
 honest_strategy = HonestStrategy
@@ -340,9 +341,9 @@ def _optimizer_state(nonce_set: NonceSet, targets: list) -> np.ndarray:
     # keeps it, because an average of concave objectives that share a
     # maximizer is maximized there too.  Means in target-major order, as
     # ``max_average_fidelity`` takes them over the stacked reduced shares.
-    b_mean = nonce_set.reduced_blochs[:, targets].swapaxes(0, 1).reshape(-1, 3).mean(axis=0)
-    c_mean = float(nonce_set.reduced_root_dets[:, targets].T.reshape(-1).mean())
-    return analysis.fidelity_optimum(b_mean, c_mean)[1]
+    blochs = nonce_set.reduced_blochs[:, targets].swapaxes(0, 1).reshape(-1, 3)
+    c_mean = float(nonce_set.reduced_root_dets[:, targets].T.reshape(-1).sum() / len(blochs))
+    return analysis.fidelity_optimum(blochs.sum(axis=0) / len(blochs), c_mean)[1]
 
 
 def require_recoverable(nonce_set: NonceSet) -> None:

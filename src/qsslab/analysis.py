@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import (
+    _MIXED,
     TOL,
     bloch_from_density,
     density_from_bloch,
@@ -64,13 +65,20 @@ class RecoverabilityReport:
     worst_recovery_deviation: float
 
 
-def _labelled_secrets(secrets) -> tuple[list, np.ndarray]:
-    """Labels of ``secrets`` (default: the four classical ones) and their
-    state vectors as an (m, 4) array."""
+def _labelled_secrets(secrets) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Labels of ``secrets``, their state vectors (m, 4) and their reflections;
+    by default the four classical secrets', a read-only table built once."""
+    if secrets is None:
+        return _CLASSICAL
     labelled = [(s, basis_state(s)) if isinstance(s, str)
                 else ("custom", validate_state(s, dim=4, what="quantum secret"))
-                for s in (SECRETS if secrets is None else secrets)]
-    return labelled, np.array([vec for _, vec in labelled]).reshape(-1, 4)
+                for s in secrets]
+    s_vecs = np.array([vec for _, vec in labelled]).reshape(-1, 4)
+    return tuple(label for label, _ in labelled), s_vecs, reflection(s_vecs)
+
+
+_CLASSICAL = _labelled_secrets(SECRETS)
+_CLASSICAL[1].flags.writeable = _CLASSICAL[2].flags.writeable = False
 
 
 def _overlaps(s_vecs: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -90,8 +98,7 @@ def overlap_deviation(nonce_set: NonceSet) -> float:
     """Worst | |<s|psi>| - 1/2 | over the classical secrets and every nonce:
     the deviation ``check_recoverability`` tests, without building its
     report."""
-    _, s_vecs = _labelled_secrets(None)
-    return _worst_deviation(_overlaps(s_vecs, nonce_set.states), 0.5)
+    return _worst_deviation(_overlaps(_CLASSICAL[1], nonce_set.states), 0.5)
 
 
 def check_recoverability(nonce_set: NonceSet, secrets=None) -> RecoverabilityReport:
@@ -104,17 +111,17 @@ def check_recoverability(nonce_set: NonceSet, secrets=None) -> RecoverabilityRep
     when the worst overlap deviation is below ``TOL``, the threshold at
     which ``synthesize_plan`` accepts it.
     """
-    labelled, s_vecs = _labelled_secrets(secrets)                       # s_vecs: (m, 4)
-    if not labelled:
+    labels, s_vecs, s_reflections = _labelled_secrets(secrets)          # s_vecs: (m, 4)
+    if not labels:
         raise ValidationError("need at least one secret")
     states = nonce_set.states                                           # (k, 4)
     overlaps = _overlaps(s_vecs, states)                                # (m, k)
-    shares = reflection(s_vecs)[:, None] @ states[:, :, None]           # (m, k, 4, 1)
+    shares = s_reflections[:, None] @ states[:, :, None]                # (m, k, 4, 1)
     recovered = (s_vecs.conj()[:, None, None, :] @ (nonce_set.reflections @ shares))[..., 0, 0]
     probs = np.hypot(recovered.real, recovered.imag) ** 2
     pairs = [
         PairOverlap(i + 1, label, overlap, prob)
-        for (label, _), row_o, row_p in zip(labelled, overlaps.tolist(), probs.tolist())
+        for label, row_o, row_p in zip(labels, overlaps.tolist(), probs.tolist())
         for i, (overlap, prob) in enumerate(zip(row_o, row_p))
     ]
     worst_overlap = _worst_deviation(overlaps, 0.5)
@@ -154,9 +161,9 @@ def check_imr(nonce_set: NonceSet) -> float:
 
 def _objective_coeffs(sigmas) -> tuple[np.ndarray, float]:
     """Average qubit fidelity against the stack ``sigmas`` at Bloch point p
-    reads 1/2 + (p . b_mean)/2 + c_mean * sqrt(1 - |p|^2)."""
+    reads 1/2 + (p . b_mean)/2 + c_mean * sqrt(1 - |p|^2), means by np.mean's sums."""
     blochs, root_dets = fidelity_terms(sigmas)
-    return blochs.mean(axis=0), float(root_dets.mean())
+    return blochs.sum(axis=0) / len(blochs), float(root_dets.sum() / len(root_dets))
 
 
 def max_average_fidelity(sigmas) -> tuple[float, np.ndarray]:
@@ -184,7 +191,7 @@ def fidelity_optimum(b_mean: np.ndarray, c_mean: float) -> tuple[float, np.ndarr
     value = 0.5 + 0.5 * radius
     center = float(0.5 + c_mean)
     if value - center <= TOL:
-        return center, density_from_bloch(np.zeros(3))
+        return center, _MIXED.copy()
     return value, density_from_bloch(b_mean / radius)
 
 

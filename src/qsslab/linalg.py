@@ -21,6 +21,7 @@ INPUT_TOL = 1e-6
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_EYE2 = np.broadcast_to(np.eye(2, dtype=complex), (2, 2))  # a read-only identity
 
 
 def validate_state(v, *, dim: int | None = None, what: str = "state") -> np.ndarray:
@@ -153,28 +154,27 @@ def bloch_from_density(rho) -> np.ndarray:
     """Bloch vector (x, y, z) = Tr(rho X), Tr(rho Y), Tr(rho Z) of a
     single-qubit density matrix; a stack gives one vector per matrix.
 
-    The traces are written out entrywise: (rho01 + rho10, i(rho01 - rho10),
-    rho00 - rho11), the same floating-point sums as the matrix products;
-    adding 0.0 turns an exact -0 into +0, as the products do.
+    The traces are written out entrywise into one array, (rho01 + rho10,
+    i(rho01 - rho10), rho00 - rho11), the same sums as the matrix products
+    (b - a is -a + b); adding 0.0 turns an exact -0 into +0, as they do.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (2, 2):
         raise ValidationError("bloch_from_density expects a 2x2 density matrix")
     r01, r10 = rho[..., 0, 1], rho[..., 1, 0]
-    return np.stack([
-        r01.real + r10.real,
-        -r01.imag + r10.imag,
-        rho[..., 0, 0].real - rho[..., 1, 1].real,
-    ], axis=-1) + 0.0
+    out = np.empty(rho.shape[:-2] + (3,))
+    np.add(r01.real, r10.real, out=out[..., 0])
+    np.subtract(r10.imag, r01.imag, out=out[..., 1])
+    np.subtract(rho[..., 0, 0].real, rho[..., 1, 1].real, out=out[..., 2])
+    return np.add(out, 0.0, out=out)
 
 
 def density_from_bloch(v) -> np.ndarray:
     """Density matrix (I + v . sigma) / 2 for a Bloch vector inside the ball."""
     v = np.asarray(v, dtype=float).reshape(3)
-    if np.linalg.norm(v) > 1.0 + TOL:
-        raise ValidationError(f"Bloch vector has norm {np.linalg.norm(v):.9g} > 1")
-    return 0.5 * (np.eye(2, dtype=complex)
-                  + v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z)
+    if (norm := np.sqrt(v.dot(v))) > 1.0 + TOL:  # np.linalg.norm's value for a real vector
+        raise ValidationError(f"Bloch vector has norm {norm:.9g} > 1")
+    return 0.5 * (_EYE2 + v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z)
 
 
 def svd_2x2(m):
@@ -201,14 +201,21 @@ def canonical_purification(rho_b) -> np.ndarray:
 
     Uses the canonical form whose 2x2 coefficient matrix (row = Eve index,
     column = Bob index) is sqrt(rho_b) transposed, so that tracing out Eve
-    recovers rho_b exactly.
+    recovers rho_b exactly.  I/2's (any target-secret plan's) is kept once built.
     """
     rho_b = np.asarray(rho_b, dtype=complex)
     if rho_b.shape != (2, 2):
         raise ValidationError("canonical_purification expects a 2x2 density matrix")
-    coeff = sqrtm_psd(rho_b).T
-    psi = coeff.reshape(-1)
-    return psi / np.linalg.norm(psi)
+    if (psi := _PURIFIED.get(rho_b.tobytes())) is None:
+        psi = sqrtm_psd(rho_b).T.reshape(-1)
+        psi = psi / np.linalg.norm(psi)
+        if rho_b.tobytes() in _PURIFIED:
+            _PURIFIED[rho_b.tobytes()] = psi
+    return psi.copy()
+
+
+_MIXED = density_from_bloch(np.zeros(3))  # I/2; purified on first use, not at import
+_PURIFIED = {_MIXED.tobytes(): None}
 
 
 def max_overlap_unitary(alpha, target):

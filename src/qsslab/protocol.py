@@ -274,10 +274,10 @@ VERDICT_INDEX = np.array([
 
 
 def _exact_blocks(nonce_set: NonceSet, strategy, s: str):
-    """Yield ``(first, weights, joints, learned)`` blocks covering every nonce
-    for secret s: nonce ``first + r`` has branches ``weights[r]`` (each branch's
-    probability), ``joints[r]`` (its state entering Stage III) and
-    ``learned[r]`` (Eve's learned secret).
+    """Yield ``(first, weights, outcomes, learned)`` blocks covering every
+    nonce for secret s: nonce ``first + r`` has branches ``weights[r]`` (each
+    branch's probability), ``outcomes[r]`` (the probabilities of Stage III's
+    four outcomes on each branch) and ``learned[r]`` (Eve's learned secret).
 
     A strategy with ``exact_block`` gives one block for the whole set.  Any
     other gets one block per nonce from ``exact_branches``, without the
@@ -292,7 +292,9 @@ def _exact_blocks(nonce_set: NonceSet, strategy, s: str):
         branches = [br for br in strategy.exact_branches(nonce_set, i, s) if not br[0] <= 0.0]
         if branches:
             p_branch, joints, learned = zip(*branches)
-            yield (i, np.array([p_branch]), np.array([joints], dtype=complex),
+            # (1, 1, 4, 4) @ (1, n, 4, 1): one matrix-vector product per branch.
+            out = nonce_set.reflections[i:i + 1, None] @ np.array([joints], complex)[..., None]
+            yield (i, np.array([p_branch]), np.abs(out[..., 0]) ** 2,
                    np.array([learned], dtype=object))
 
 
@@ -301,13 +303,13 @@ def outcome_distribution(nonce_set: NonceSet, strategy, mode_prior: float = 0.5)
 
     The strategy must expose ``exact_branches(nonce_set, i, s)`` returning
     ``(probability, joint_state_entering_stage_III, learned_secret)``
-    triples, or ``exact_block(nonce_set, s)`` returning the same for every
-    nonce at once as arrays (see ``qsslab.adversary``).  Within SECRET mode
-    the dealer's secret bit is averaged uniformly, matching a RoundConfig
-    with ``secret_bit=None``.
+    triples, or ``exact_block(nonce_set, s)`` giving every nonce's branches
+    at once, with Stage III's outcome probabilities for the joint states
+    (see ``qsslab.adversary``).  Within SECRET mode the dealer's secret bit
+    is averaged uniformly, matching a RoundConfig with ``secret_bit=None``.
 
-    Each block of draws maps its branches to (nonce, branch, b) probability
-    mass with one matmul.  Its sums over branches fill rows of a (mode, s,
+    Each block of draws weights its outcome probabilities into (nonce,
+    branch, b) probability mass.  Its sums over branches fill rows of a (mode, s,
     nonce, b) grid, from which the table is read; ``np.add.at`` adds the
     block to the verdict masses through ``VERDICT_INDEX``, and Eve's hits
     are added one by one, all in the (mode, s, nonce, branch, b) order of a
@@ -327,13 +329,10 @@ def outcome_distribution(nonce_set: NonceSet, strategy, mode_prior: float = 0.5)
         for s in MODE_SECRETS[mode]:
             row = grid[m, SECRETS.index(s)]
             verdict_of_b = VERDICT_INDEX[m, SECRETS.index(s)][None]
-            for first, p_branch, joints, learned in _exact_blocks(nonce_set, strategy, s):
-                stop = first + len(p_branch)
+            for first, p_branch, outcomes, learned in _exact_blocks(nonce_set, strategy, s):
                 weights = np.multiply(base, p_branch)
-                # (rows, 1, 4, 4) @ (rows, n, 4, 1): one matrix-vector product per branch.
-                out = nonce_set.reflections[first:stop, None] @ joints[..., None]
-                block = weights[..., None] * (np.abs(out[..., 0]) ** 2)
-                block.sum(axis=1, out=row[first:stop])
+                block = weights[..., None] * outcomes
+                block.sum(axis=1, out=row[first:first + len(p_branch)])
                 flat = block.reshape(-1, 4)
                 np.add.at(masses, verdict_of_b.repeat(len(flat), axis=0), flat)
                 for w in weights[np.asarray(learned) == s].tolist():

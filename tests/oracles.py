@@ -5,13 +5,16 @@ The random draws feed seeded tests; ``bob_marginal``,
 formulas and searches the package's array code is checked against.
 ``recovery_amplitude`` and the two Bloch-mean bounds are the closed-form
 witnesses of the recovery law and of the universal detection ceiling.
+``stacked_bloch``, ``pauli_sum_density``, ``mean_objective_coeffs`` and
+``plain_purification`` keep the plain forms of helpers the package writes
+leaner; the package must equal them byte for byte.
 """
 import numpy as np
 
 from qsslab.adversary import AttackPlan
 from qsslab.errors import ValidationError
 from qsslab.linalg import (PAULI_X, PAULI_Y, PAULI_Z, TOL, bloch_from_density, density_from_bloch,
-                           fidelity, is_pure, state_fidelity)
+                           fidelity, is_pure, sqrtm_psd, state_fidelity)
 from qsslab.nonces import NonceSet, SECRETS, share_state, validate_secret
 
 
@@ -60,6 +63,38 @@ def recovery_amplitude(overlap_sq: float) -> float:
     if not 0.0 <= x <= 1.0 + TOL:
         raise ValidationError(f"overlap_sq must lie in [0, 1], got {x}")
     return x * (3.0 - 4.0 * x) ** 2
+
+
+def stacked_bloch(rho) -> np.ndarray:
+    """``linalg.bloch_from_density`` joined by ``np.stack``, plus 0.0."""
+    rho = np.asarray(rho, dtype=complex)
+    r01, r10 = rho[..., 0, 1], rho[..., 1, 0]
+    return np.stack([
+        r01.real + r10.real,
+        -r01.imag + r10.imag,
+        rho[..., 0, 0].real - rho[..., 1, 1].real,
+    ], axis=-1) + 0.0
+
+
+def pauli_sum_density(v) -> np.ndarray:
+    """``linalg.density_from_bloch`` as eye + x X + y Y + z Z, halved, with a
+    fresh identity and the norm check by ``np.linalg.norm``."""
+    v = np.asarray(v, dtype=float).reshape(3)
+    if np.linalg.norm(v) > 1.0 + TOL:
+        raise ValidationError(f"Bloch vector has norm {np.linalg.norm(v):.9g} > 1")
+    return 0.5 * (np.eye(2, dtype=complex) + v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z)
+
+
+def mean_objective_coeffs(blochs, root_dets) -> tuple[np.ndarray, float]:
+    """The objective's mean coefficients b and c by ``np.mean``, from the
+    Bloch vectors and sqrt(det) of the stack they average."""
+    return np.mean(blochs, axis=0), float(np.mean(root_dets))
+
+
+def plain_purification(rho_b) -> np.ndarray:
+    """``linalg.canonical_purification`` computed on every call."""
+    psi = sqrtm_psd(rho_b).T.reshape(-1)
+    return psi / np.linalg.norm(psi)
 
 
 def _pure_blochs(states) -> np.ndarray:

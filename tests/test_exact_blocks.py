@@ -136,14 +136,19 @@ def test_block_path_sums_several_outcomes_alike(k):
 
 
 def test_block_shapes():
+    # Blocks carry Stage III outcome probabilities, not joint states.
     ns = _phase_sets(8)[7]
     k = len(ns)
-    weights, joints, learned = honest_strategy().exact_block(ns, "10")
-    assert (weights.shape, joints.shape, learned.shape) == ((k, 1), (k, 1, 4), (k, 1))
+    weights, outcomes, learned = honest_strategy().exact_block(ns, "10")
+    assert (weights.shape, outcomes.shape, learned.shape) == ((k, 1), (k, 1, 4), (k, 1))
     assert all(secret is None for secret in learned.ravel())
+    assert outcomes.tobytes() == ns.recovery_stack()[:, [SECRETS.index("10")]].tobytes()
     strat = ifr_strategy(synthesize_plan(ns, "target-01"), ns)
-    weights, joints, learned = strat.exact_block(ns, "10")
-    assert (weights.shape, joints.shape, learned.shape) == ((k, 4), (k, 4, 4), (k, 4))
+    weights, outcomes, learned = strat.exact_block(ns, "10")
+    assert (weights.shape, outcomes.shape, learned.shape) == ((k, 4), (k, 4, 4), (k, 4))
+    # Eve's steered states do not depend on s: every s reads one stack.
+    assert all(strat.exact_block(ns, s)[1] is outcomes for s in SECRETS)
+    np.testing.assert_allclose(outcomes.sum(axis=-1), 1.0, atol=1e-12)
     # A recoverable set: Eve's recovery yields the dealer's s with certainty.
     np.testing.assert_allclose(weights[:, SECRETS.index("10")], 1.0, atol=1e-12)
     assert (weights.sum(axis=1) == weights[:, SECRETS.index("10")]).all()

@@ -1,0 +1,137 @@
+"""The lean helpers against the plain forms kept in ``tests/oracles.py``,
+byte for byte (``tobytes``, so signed zeros count).
+
+The Bloch helpers write into one array and reuse a read-only identity;
+the R(s) and committed-state means divide a sum by the stack's length; the
+tie-case optimum I/2 and its purification are built once and copied.
+"""
+import itertools
+
+import numpy as np
+import pytest
+
+from qsslab import adversary, analysis
+from qsslab.errors import ValidationError
+from qsslab.linalg import (bloch_from_density, canonical_purification, density_from_bloch,
+                           fidelity_terms, pure_density)
+from qsslab.nonces import SECRETS, NonceSet, builtin_nonce_set
+from oracles import (haar_state, mean_objective_coeffs, pauli_sum_density, plain_purification,
+                     random_density, stacked_bloch)
+
+BUILTINS = ("hsu-I", "proposed-J")
+
+
+def _phase_set(k: int, seed: int) -> NonceSet:
+    phases = np.random.default_rng([23, seed]).uniform(0.0, 2.0 * np.pi, size=(k, 4))
+    return NonceSet(name=f"phase-{k}", states=tuple(0.5 * np.exp(1j * p) for p in phases))
+
+
+def _signed_zero_matrices() -> np.ndarray:
+    """2x2 matrices whose every real and imaginary part is +0.0 or -0.0,
+    each of the 2^8 sign patterns once."""
+    signs = np.array(list(itertools.product((0.0, -0.0), repeat=8)))
+    return signs.view(complex).reshape(-1, 2, 2)
+
+
+def _density_stacks() -> list:
+    rng = np.random.default_rng(41)
+    mixed = np.array([random_density(rng) for _ in range(64)])
+    pure = pure_density(np.array([haar_state(2, rng) for _ in range(64)]))
+    zeros = _signed_zero_matrices()
+    # Exact -0.0 in the off-diagonal and diagonal parts of physical states.
+    basis = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0.5, 0], [0, 0.5]]], dtype=complex)
+    signed = basis + zeros[:, None].conj()
+    stacks = [mixed, pure, zeros, signed.reshape(-1, 2, 2), np.concatenate([mixed, pure])]
+    stacks += [ns.reduced_share_stack() for ns in map(builtin_nonce_set, BUILTINS)]
+    return stacks + [_phase_set(16, 1).reduced_share_stack()]
+
+
+def _bytes_equal(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_bloch_vectors_byte_for_byte():
+    stacks = _density_stacks()
+    # Some x sums are -0.0, which only the + 0.0 turns into +0.0.
+    x_sums = [s[..., 0, 1].real + s[..., 1, 0].real for s in stacks]
+    assert any((np.signbit(x) & (x == 0.0)).any() for x in x_sums)
+    for stack in stacks:
+        assert _bytes_equal(bloch_from_density(stack), stacked_bloch(stack))
+        for rho in stack.reshape(-1, 2, 2):
+            assert _bytes_equal(bloch_from_density(rho), stacked_bloch(rho))
+
+
+def _bloch_vectors() -> list:
+    rng = np.random.default_rng(42)
+    units = rng.normal(size=(64, 3))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    inside = units * rng.uniform(0.0, 1.0, size=(64, 1))
+    signed_zeros = np.array(list(itertools.product((0.0, -0.0), repeat=3)))
+    axes = np.concatenate([np.eye(3), -np.eye(3)])
+    mixed_signs = axes[:, None] * 0.5 + signed_zeros[None] * (1 - np.abs(axes))[:, None]
+    return [*units, *inside, *signed_zeros, *axes, *mixed_signs.reshape(-1, 3),
+            np.zeros(3), units[0] * (1.0 + 5e-10)]
+
+
+def test_density_from_bloch_byte_for_byte():
+    vectors = _bloch_vectors()
+    assert any(np.signbit(v).any() and not np.abs(v).any() for v in vectors)
+    for v in vectors:
+        assert _bytes_equal(density_from_bloch(v), pauli_sum_density(v))
+        assert _bytes_equal(density_from_bloch(list(v)), pauli_sum_density(list(v)))
+
+
+@pytest.mark.parametrize("v", [[1.0, 1.0, 0.0], [0.6, 0.8, 1e-4], [3.0, -4.0, 12.0]])
+def test_density_from_bloch_names_the_same_norm(v):
+    with pytest.raises(ValidationError) as want:
+        pauli_sum_density(v)
+    with pytest.raises(ValidationError) as got:
+        density_from_bloch(v)
+    assert str(got.value) == str(want.value)
+
+
+def _share_stacks() -> list:
+    rng = np.random.default_rng(43)
+    stacks = [np.array([random_density(rng) for _ in range(n)]) for n in range(1, 34)]
+    stacks += [pure_density(np.array([haar_state(2, rng) for _ in range(n)])) for n in (1, 7, 8)]
+    sets = [builtin_nonce_set(name) for name in BUILTINS] + [_phase_set(k, k) for k in (1, 5, 11, 64)]
+    return stacks + [ns.reduced_share_stack()[:, n] for ns in sets for n in range(4)]
+
+
+def test_objective_means_byte_for_byte():
+    for sigmas in _share_stacks():
+        b_mean, c_mean = analysis._objective_coeffs(sigmas)
+        want_b, want_c = mean_objective_coeffs(*fidelity_terms(sigmas))
+        assert _bytes_equal(b_mean, want_b) and c_mean.hex() == want_c.hex()
+        value, rho = analysis.max_average_fidelity(sigmas)
+        want_value, want_rho = analysis.fidelity_optimum(want_b, want_c)
+        assert value.hex() == want_value.hex() and _bytes_equal(rho, want_rho)
+
+
+def test_committed_states_byte_for_byte():
+    # plan_arrays commits to the purified optimum of the means, target-major.
+    sets = [builtin_nonce_set(name) for name in BUILTINS]
+    sets += [_phase_set(k, k) for k in (1, 3, 4, 7, 13, 64)]
+    for ns in sets:
+        for policy in adversary.POLICIES:
+            targets = [SECRETS.index(adversary.policy_target(policy, s)) for s in SECRETS]
+            blochs = ns.reduced_blochs[:, targets].swapaxes(0, 1).reshape(-1, 3)
+            root_dets = ns.reduced_root_dets[:, targets].T.reshape(-1)
+            rho = analysis.fidelity_optimum(*mean_objective_coeffs(blochs, root_dets))[1]
+            alpha, _ = adversary.plan_arrays(ns, policy)
+            assert _bytes_equal(alpha, plain_purification(rho)), (ns.name, policy)
+
+
+def test_tie_case_tables_are_copied():
+    # proposed-J's R(s) and every secret set's target-secret state are I/2.
+    proposed = builtin_nonce_set("proposed-J")
+    first = analysis.r_of_s(proposed, "00")[1]
+    assert _bytes_equal(first, pauli_sum_density(np.zeros(3)))
+    first[:] = 7.0
+    assert _bytes_equal(analysis.r_of_s(proposed, "00")[1], pauli_sum_density(np.zeros(3)))
+    mixed = density_from_bloch(np.zeros(3))
+    psi = canonical_purification(mixed)
+    assert _bytes_equal(psi, plain_purification(mixed)) and psi.flags.writeable
+    psi[:] = 7.0
+    assert _bytes_equal(canonical_purification(mixed), plain_purification(mixed))
