@@ -56,17 +56,6 @@ MIN_OUTCOME_P = 1e-30
 _LEARNED = np.array([SECRETS])
 
 
-def _recovery_outcomes(reflections: np.ndarray, share: np.ndarray) -> list:
-    """Measure ``share`` after each reflection of the ``(rows, 4, 4)`` stack.
-
-    Returns ``(probability, row, outcome index)`` for every outcome of
-    probability above ``MIN_OUTCOME_P``; the rest are dropped.
-    """
-    probs = (np.abs(reflections @ share) ** 2).tolist()
-    return [(p, row, b) for row, ps in enumerate(probs) for b, p in enumerate(ps)
-            if p > MIN_OUTCOME_P]
-
-
 def _check_same_set(bound: NonceSet, given: NonceSet) -> None:
     """Refuse exact tables for a set other than the one the strategy plays.
 
@@ -100,7 +89,7 @@ class HonestStrategy:
         return [(1.0, share_state(nonce_set.states[i], s), None)]
 
     def exact_block(self, nonce_set, s):
-        outcomes = nonce_set.recovery_stack()[:, SECRETS.index(validate_secret(s)), None]
+        outcomes = nonce_set.recovery_stack[:, SECRETS.index(validate_secret(s)), None]
         return np.ones(outcomes.shape[:2]), outcomes, np.full(outcomes.shape[:2], None)
 
 
@@ -148,9 +137,9 @@ class ImrGuessStrategy:
         else:
             first, stop = int(self.guess), int(self.guess) + 1
         p_guess = 1.0 / (stop - first)
-        resent = nonce_set.share_stack()
-        return [(p_guess * p, resent[first + row, b], SECRETS[b])
-                for p, row, b in _recovery_outcomes(nonce_set.reflections[first:stop], share)]
+        probs = (np.abs(nonce_set.reflections[first:stop] @ share) ** 2).tolist()
+        return [(p_guess * p, nonce_set.share_stack[j, b], SECRETS[b])
+                for j, ps in enumerate(probs, first) for b, p in enumerate(ps) if p > MIN_OUTCOME_P]
 
 
 def steer(alpha: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
@@ -189,10 +178,9 @@ class AttackPlan:
         try:
             validate_unitary(unitaries, dim=2)
         except ValidationError:
-            # Name the bad entry; the names are formatted only on failure.
+            # Raise again, naming the bad entry; names are formatted only on failure.
             validate_unitary(unitaries, dim=2, names=[
                 f"v_table entry {i + 1},{s}" for i in range(len(unitaries)) for s in SECRETS])
-            raise
         self.__setstate__({"alpha": alpha, "unitaries": unitaries, "steered": steer(alpha, unitaries)})
 
     def __setstate__(self, state):
@@ -302,15 +290,15 @@ class IfrStrategy:
 
     def exact_branches(self, nonce_set, i, s):
         _check_same_set(self._nonce_set, nonce_set)
-        share = share_state(nonce_set.states[i], s)
+        probs = nonce_set.recovery_stack[i, SECRETS.index(validate_secret(s))].tolist()
         return [(p, self.plan.steered[i, b], SECRETS[b])
-                for p, _, b in _recovery_outcomes(nonce_set.reflections[i:i + 1], share)]
+                for b, p in enumerate(probs) if p > MIN_OUTCOME_P]
 
     def exact_block(self, nonce_set, s):
         """``exact_branches`` for every nonce at once: branch b of nonce i
         learns SECRETS[b] with the recovery probability of outcome b."""
         _check_same_set(self._nonce_set, nonce_set)
-        probs = nonce_set.recovery_stack()[:, SECRETS.index(validate_secret(s))]
+        probs = nonce_set.recovery_stack[:, SECRETS.index(validate_secret(s))]
         weights = np.where(probs > MIN_OUTCOME_P, probs, 0.0)
         return weights, self._outcomes, _LEARNED.repeat(len(weights), axis=0)
 
@@ -366,7 +354,7 @@ def plan_arrays(nonce_set: NonceSet, policy: str,
     else:
         alpha = validate_state(alpha, dim=4, what="alpha")
     distinct = targets if policy == POLICY_TARGET_SECRET else targets[:1]
-    v, _ = max_overlap_unitary(alpha, nonce_set.share_stack()[:, distinct])
+    v, _ = max_overlap_unitary(alpha, nonce_set.share_stack[:, distinct])
     return alpha, v.repeat(4 // len(distinct), axis=1)
 
 

@@ -145,14 +145,14 @@ def check_secrecy(nonce_set: NonceSet) -> dict:
 
     Keys are 1-based nonce indices.
     """
-    avg = pure_density(nonce_set.share_stack()).sum(axis=1) / 4.0
+    avg = pure_density(nonce_set.share_stack).sum(axis=1) / 4.0
     devs = _max_norm(avg - np.eye(4, dtype=complex) / 4.0)
     return {i + 1: float(dev) for i, dev in enumerate(devs)}
 
 
 def check_imr(nonce_set: NonceSet) -> float:
     """Max-norm deviation of the grand share average from I/4."""
-    avg = pure_density(nonce_set.share_stack()).reshape(-1, 4, 4).sum(axis=0) / (4.0 * len(nonce_set))
+    avg = pure_density(nonce_set.share_stack).reshape(-1, 4, 4).sum(axis=0) / (4.0 * len(nonce_set))
     return float(_max_norm(avg - np.eye(4, dtype=complex) / 4.0))
 
 
@@ -198,8 +198,8 @@ def fidelity_optimum(b_mean: np.ndarray, c_mean: float) -> tuple[float, np.ndarr
 def bob_reduced_shares(nonce_set: NonceSet, s: str) -> np.ndarray:
     """Bob-side reduced density matrices of every share state for secret s:
     shape (k, 2, 2), Eve's qubit traced out; a read-only view into
-    ``nonce_set.reduced_share_stack()``."""
-    return nonce_set.reduced_share_stack()[:, SECRETS.index(validate_secret(s))]
+    ``nonce_set.reduced_share_stack``."""
+    return nonce_set.reduced_share_stack[:, SECRETS.index(validate_secret(s))]
 
 
 def r_of_s(nonce_set: NonceSet, s: str) -> tuple[float, np.ndarray]:
@@ -228,7 +228,7 @@ def detection_bounds(nonce_set: NonceSet, mode_prior: float = 0.5) -> dict:
     if not 0.0 <= mode_prior <= 1.0:
         raise ValidationError(f"mode_prior must be in [0, 1], got {mode_prior}")
     k = len(nonce_set)
-    recovery = nonce_set.recovery_stack()
+    recovery = nonce_set.recovery_stack
     branches = np.where(recovery > adversary.MIN_OUTCOME_P, recovery, 0.0)
     # The engine's (mode, s) blocks, in order: branch weights and verdicts of b'.
     cells = [(m, SECRETS.index(s), p_mode * 0.5 / k)
@@ -276,19 +276,9 @@ class CertificationReport:
         return self.recoverable and self.secret and self.imr_protected
 
     def to_json_dict(self) -> dict:
-        return {
-            "nonce_set_name": self.nonce_set_name,
-            "recoverable": self.recoverable,
-            "recoverable_deviation": self.recoverable_deviation,
-            "secret": self.secret,
-            "secrecy_deviation": self.secrecy_deviation,
-            "secrecy_per_nonce": {str(k): v for k, v in self.secrecy_per_nonce.items()},
-            "imr_protected": self.imr_protected,
-            "imr_deviation": self.imr_deviation,
-            "r_of_s": dict(self.r_of_s),
-            "detection_bounds": self.detection_bounds,
-            "all_passed": self.all_passed,
-        }
+        return {**vars(self),
+                "secrecy_per_nonce": {str(k): v for k, v in self.secrecy_per_nonce.items()},
+                "r_of_s": dict(self.r_of_s), "all_passed": self.all_passed}
 
 
 def certify(nonce_set: NonceSet) -> CertificationReport:

@@ -64,6 +64,9 @@ _rounds = _flag(int, lambda v: v >= 1, "must be >= 1, got {value}")
 _prior = _flag(float, lambda v: 0.0 <= v <= 1.0, "must be a finite number in [0, 1], got {raw}")
 _source = _flag(str, bool, "expected builtin:<name> or a path, got {raw!r}")
 _path = _flag(str, bool, "expected a path, got {raw!r}")
+# A file to write, checked before any work, so a failed run writes no file.
+_out = _flag(_path, lambda p: not os.path.isdir(p) and os.path.isdir(os.path.dirname(p) or "."),
+             "expected a file path in an existing directory, got {raw!r}")
 
 
 def _env_int(name: str, default: int) -> int:
@@ -237,13 +240,6 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # report
 
-_REPORT_COLUMNS = (
-    "nonce_set", "strategy", "rounds", "p_detect", "exact_p_detect",
-    "p_eve_knows_secret", "recoverable", "secret", "imr_protected",
-    "r_00", "r_01", "r_10", "r_11", "detection_floor", "detection_ceiling",
-)
-
-
 _ROW_TYPES = {
     "a boolean": lambda v: isinstance(v, bool),
     # abs(v) < inf, unlike math.isfinite, takes ints beyond float range.
@@ -268,6 +264,11 @@ _SIM_FIELDS = (*((c, c, "a string") for c in ("nonce_set", "strategy")),
                ("rounds", "rounds", "a non-negative integer"),
                *((c, c, "a finite number")
                  for c in ("p_detect", "exact_p_detect", "p_eve_knows_secret")))
+# The merged table's columns, in order: every row value's but the
+# certification's detection-bounds object, whose floor and ceiling are columns.
+_REPORT_COLUMNS = tuple(dict.fromkeys(
+    column for fields in (_SIM_FIELDS, _CERT_FIELDS, _BOUNDS_FIELDS)
+    for _, column, _ in fields if column != "detection_bounds"))
 
 
 def _row_values(kind: str, body: dict, fields) -> dict:
@@ -341,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="certify a nonce set (recoverability, secrecy, IMR)")
     p.add_argument("--nonces", required=True, type=_source,
                    help="builtin:<hsu-I|proposed-J> or a nonce-set JSON path")
-    p.add_argument("--out", type=_path, help="write the JSON report here (plus a .txt table)")
+    p.add_argument("--out", type=_out, help="write the JSON report here (plus a .txt table)")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("attack", help="synthesize an intercept-fake-resend plan")
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[adversary.POLICY_TARGET_SECRET, adversary.POLICY_TARGET_01])
     p.add_argument("--alpha", type=_path,
                    help="optional JSON file [[re,im] x4] forcing the fake state")
-    p.add_argument("--out", required=True, type=_path, help="plan JSON output path")
+    p.add_argument("--out", required=True, type=_out, help="plan JSON output path")
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("simulate", help="run protocol rounds against a strategy")
@@ -366,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     play = p.add_mutually_exclusive_group()
     play.add_argument("--exact", action="store_true",
                       help="exact enumeration instead of Monte Carlo")
-    play.add_argument("--transcripts", type=_path, help="write JSON-lines transcripts here")
-    p.add_argument("--out", type=_path, help="write the JSON report here")
+    play.add_argument("--transcripts", type=_out, help="write JSON-lines transcripts here")
+    p.add_argument("--out", type=_out, help="write the JSON report here")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="merge report files into a comparison table")

@@ -12,10 +12,6 @@ Custom sets of any size load from JSON: ``{"name": str, "states":
 [[[re, im] x4], ...]}`` with amplitudes in basis order 00, 01, 10, 11
 (complex arrays are encoded as described in ``qsslab.jsonio``).
 Nonce indices are 0-based in code and 1-based in files and reports.
-
-A ``NonceSet`` keeps its states as a read-only (k, 4) array and builds its
-reflections, share states, Bob's reduced shares and recovery probabilities
-once, with the set.
 """
 from __future__ import annotations
 
@@ -84,22 +80,26 @@ class NonceSet:
     """A named, ordered list of normalized two-qubit nonce states.
 
     Any sequence of state vectors is validated row by row into ``states``,
-    a read-only (k, 4) array; the reflections U_psi (k, 4, 4), the share
-    stack, Bob's reduced shares with their ``linalg.fidelity_terms``
-    (``reduced_blochs`` (k, 4, 3) and ``reduced_root_dets`` (k, 4)) and the
-    recovery probabilities are built with it, read-only too.  ``copy`` and
-    ``pickle`` keep the arrays as they are, read-only, without validating
+    a read-only (k, 4) array.  Built with it, read-only too, and indexed
+    ``[i, n]`` for nonce i and s = SECRETS[n]: the reflections U_psi_i
+    (k, 4, 4; by nonce only), the share states U_s|psi_i> ``share_stack``
+    (k, 4, 4), Bob's reduced shares (Eve's qubit traced out)
+    ``reduced_share_stack`` (k, 4, 2, 2) with their ``linalg.fidelity_terms``
+    ``reduced_blochs`` (k, 4, 3) and ``reduced_root_dets`` (k, 4), and
+    ``recovery_stack`` (k, 4, 4), whose ``[i, n, b]`` is the recovery
+    probability |<b| U_psi_i U_s |psi_i>|^2 of outcome b = SECRETS[b].
+    ``copy`` and ``pickle`` keep the arrays as they are, without validating
     again.
     """
 
     name: str
     states: np.ndarray = field(repr=False)
     reflections: np.ndarray = field(init=False, repr=False)
-    _shares: np.ndarray = field(init=False, repr=False)
-    _reduced: np.ndarray = field(init=False, repr=False)
+    share_stack: np.ndarray = field(init=False, repr=False)
+    reduced_share_stack: np.ndarray = field(init=False, repr=False)
     reduced_blochs: np.ndarray = field(init=False, repr=False)
     reduced_root_dets: np.ndarray = field(init=False, repr=False)
-    _recovery: np.ndarray = field(init=False, repr=False)
+    recovery_stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.states) < 1:
@@ -115,8 +115,9 @@ class NonceSet:
         recovery = np.abs(reflections[:, None] @ shares[..., None])[..., 0] ** 2
         reduced = partial_trace_E(pure_density(shares))
         blochs, root_dets = fidelity_terms(reduced)
-        set_frozen(self, states=states, reflections=reflections, _shares=shares, _reduced=reduced,
-                   reduced_blochs=blochs, reduced_root_dets=root_dets, _recovery=recovery)
+        set_frozen(self, states=states, reflections=reflections, share_stack=shares,
+                   reduced_share_stack=reduced, reduced_blochs=blochs,
+                   reduced_root_dets=root_dets, recovery_stack=recovery)
 
     def __setstate__(self, state):
         # Copies and unpickled sets keep the validated arrays bit for bit.
@@ -124,29 +125,6 @@ class NonceSet:
 
     def __len__(self) -> int:
         return len(self.states)
-
-    def share_stack(self) -> np.ndarray:
-        """Every share state at once: ``[i, n]`` is U_s|psi_i> for s = SECRETS[n].
-
-        Shape (k, 4, 4), read-only, built with the set.
-        """
-        return self._shares
-
-    def reduced_share_stack(self) -> np.ndarray:
-        """Bob's reduced share states: ``[i, n]`` is U_s|psi_i><psi_i|U_s
-        with Eve's qubit traced out, for s = SECRETS[n].
-
-        Shape (k, 4, 2, 2), read-only, built with the set.
-        """
-        return self._reduced
-
-    def recovery_stack(self) -> np.ndarray:
-        """Recovery probabilities: ``[i, n, b]`` is |<b| U_psi_i U_s |psi_i>|^2
-        for s = SECRETS[n] and outcome b = SECRETS[b].
-
-        Shape (k, 4, 4), read-only, built with the set.
-        """
-        return self._recovery
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "states": complex_to_json(self.states)}

@@ -113,19 +113,8 @@ class RoundTranscript:
     recovered_secret_bit: int | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "round": self.round_index,
-            "mode": self.mode,
-            "s": self.s,
-            "nonce_index": self.nonce_index,
-            "announced_nonce": self.announced_nonce,
-            "forwarded_to_bob": complex_to_json(self.forwarded_to_bob),
-            "eve_learned_secret": self.eve_learned_secret,
-            "stage_two_unitary_applied": self.stage_two_unitary_applied,
-            "measured_b": self.measured_b,
-            "verdict": self.verdict,
-            "recovered_secret_bit": self.recovered_secret_bit,
-        }
+        body = dict(vars(self), forwarded_to_bob=complex_to_json(self.forwarded_to_bob))
+        return {"round": body.pop("round_index"), **body}
 
 
 def _draw_secret(cfg: RoundConfig, mode: str, rng: np.random.Generator) -> str:

@@ -7,12 +7,16 @@ formulas and searches the package's array code is checked against.
 witnesses of the recovery law and of the universal detection ceiling.
 ``stacked_bloch``, ``pauli_sum_density``, ``mean_objective_coeffs`` and
 ``plain_purification`` keep the plain forms of helpers the package writes
-leaner; the package must equal them byte for byte.
+leaner; the package must equal them byte for byte.  ``certification_json``
+and ``transcript_json`` spell out the report and transcript file formats
+field by field.  ``phase_states`` and ``phase_set`` build the seeded
+1/2 e^{i phi} nonce sets the tests draw.
 """
 import numpy as np
 
 from qsslab.adversary import AttackPlan
 from qsslab.errors import ValidationError
+from qsslab.jsonio import complex_to_json
 from qsslab.linalg import (PAULI_X, PAULI_Y, PAULI_Z, TOL, bloch_from_density, density_from_bloch,
                            fidelity, is_pure, sqrtm_psd, state_fidelity)
 from qsslab.nonces import NonceSet, SECRETS, share_state, validate_secret
@@ -37,6 +41,50 @@ def random_density(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def phase_states(phases) -> list:
+    """The state 1/2 e^{i phi} of each row of four phases, unvalidated."""
+    return [0.5 * np.exp(1j * p) for p in phases]
+
+
+def phase_set(phases, name: str) -> NonceSet:
+    """The nonce set of ``phase_states``: recoverable, whatever the phases."""
+    return NonceSet(name=name, states=tuple(phase_states(phases)))
+
+
+def certification_json(report) -> dict:
+    """The ``"certification"`` body of a certification file, field by field."""
+    return {
+        "nonce_set_name": report.nonce_set_name,
+        "recoverable": report.recoverable,
+        "recoverable_deviation": report.recoverable_deviation,
+        "secret": report.secret,
+        "secrecy_deviation": report.secrecy_deviation,
+        "secrecy_per_nonce": {str(k): v for k, v in report.secrecy_per_nonce.items()},
+        "imr_protected": report.imr_protected,
+        "imr_deviation": report.imr_deviation,
+        "r_of_s": dict(report.r_of_s),
+        "detection_bounds": report.detection_bounds,
+        "all_passed": report.all_passed,
+    }
+
+
+def transcript_json(t) -> dict:
+    """One record of a ``--transcripts`` file, field by field."""
+    return {
+        "round": t.round_index,
+        "mode": t.mode,
+        "s": t.s,
+        "nonce_index": t.nonce_index,
+        "announced_nonce": t.announced_nonce,
+        "forwarded_to_bob": complex_to_json(t.forwarded_to_bob),
+        "eve_learned_secret": t.eve_learned_secret,
+        "stage_two_unitary_applied": t.stage_two_unitary_applied,
+        "measured_b": t.measured_b,
+        "verdict": t.verdict,
+        "recovered_secret_bit": t.recovered_secret_bit,
+    }
 
 
 def bob_marginal(state) -> np.ndarray:

@@ -29,7 +29,7 @@ from qsslab.linalg import (
 )
 from qsslab.nonces import NonceSet, SECRETS, builtin_nonce_set, share_state
 from qsslab.protocol import RoundConfig, outcome_distribution, run_rounds
-from oracles import average_recovery, haar_state, haar_unitaries
+from oracles import average_recovery, haar_state, haar_unitaries, phase_set, phase_states
 
 S2 = 1.0 / np.sqrt(2.0)
 EYE2 = np.eye(2, dtype=complex)
@@ -106,7 +106,7 @@ class TestSynthesis:
         so each target's optimizer is I/2."""
         for seed in range(n):
             rng = np.random.default_rng(900 + seed)
-            half = [0.5 * np.exp(1j * p) for p in rng.uniform(0, 2 * np.pi, (1 + seed % 8, 4))]
+            half = phase_states(rng.uniform(0, 2 * np.pi, (1 + seed % 8, 4)))
             yield NonceSet(name=f"phase-{seed}",
                            states=tuple(half) + tuple(psi * [1, -1, 1, -1] for psi in half))
 
@@ -119,9 +119,7 @@ class TestSynthesis:
         for seed in range(50):
             rng = np.random.default_rng(1900 + seed)
             phases = rng.uniform(0, 2 * np.pi, (1 + seed % 16, 4))
-            cases.append((NonceSet(name=f"raw-{seed}",
-                                   states=tuple(0.5 * np.exp(1j * p) for p in phases)),
-                          "target-01"))
+            cases.append((phase_set(phases, f"raw-{seed}"), "target-01"))
         for ns, policy in cases:
             optimizers = [r_of_s(ns, policy_target(policy, s))[1] for s in SECRETS]
             for rho in optimizers[1:]:
@@ -408,7 +406,7 @@ class TestStrategyRebind:
         """A seeded 1/2 e^{i phi} set and its re-wrapped copy, which
         renormalizes every state again and so differs in last bits."""
         phases = np.random.default_rng([11, 1]).uniform(0.0, 2.0 * np.pi, size=(6, 4))
-        ns = NonceSet(name="phase-6", states=tuple(0.5 * np.exp(1j * p) for p in phases))
+        ns = phase_set(phases, "phase-6")
         copy = NonceSet(ns.name, ns.states)
         assert not np.array_equal(copy.states, ns.states)
         return ns, copy
@@ -449,9 +447,9 @@ class TestCopies:
         ns = builtin_nonce_set(name)
         twin = COPIES[how](ns)
         for got, want in ((twin.states, ns.states), (twin.reflections, ns.reflections),
-                          (twin.share_stack(), ns.share_stack()),
-                          (twin.reduced_share_stack(), ns.reduced_share_stack()),
-                          (twin.recovery_stack(), ns.recovery_stack())):
+                          (twin.share_stack, ns.share_stack),
+                          (twin.reduced_share_stack, ns.reduced_share_stack),
+                          (twin.recovery_stack, ns.recovery_stack)):
             _assert_same_read_only(got, want)
         assert twin.to_json_dict() == ns.to_json_dict()
 

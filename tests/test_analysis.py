@@ -38,6 +38,8 @@ from oracles import (
     bloch_mean_distance_bound,
     grid_max_average_fidelity,
     haar_state,
+    phase_set,
+    phase_states,
     random_density,
     recovery_amplitude,
 )
@@ -327,7 +329,7 @@ class TestCertify:
         verdicts = set()
         for seed, exponent in enumerate(np.linspace(-12.0, -6.0, 25)):
             rng = np.random.default_rng(seed)
-            states = 0.5 * np.exp(1j * rng.uniform(0, 2 * np.pi, (int(rng.integers(1, 9)), 4)))
+            states = np.array(phase_states(rng.uniform(0, 2 * np.pi, (int(rng.integers(1, 9)), 4))))
             states[0, 0] *= 1.0 + 2.0 * 10.0 ** exponent
             ns = NonceSet(name=f"near-{seed}", states=tuple(states))
             report = certify(ns)
@@ -387,10 +389,7 @@ class TestClosedForm:
 
     def test_certify_never_scans_a_grid(self):
         rng = np.random.default_rng(16)
-        random_set = NonceSet(
-            name="random-k16",
-            states=tuple(0.5 * np.exp(1j * rng.uniform(0, 2 * np.pi, 4)) for _ in range(16)),
-        )
+        random_set = phase_set(rng.uniform(0, 2 * np.pi, (16, 4)), "random-k16")
         for ns in (builtin_nonce_set("hsu-I"), builtin_nonce_set("proposed-J"), random_set):
             report = certify(ns)
             assert report.all_passed, ns.name

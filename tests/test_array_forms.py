@@ -24,7 +24,7 @@ from qsslab.linalg import (
 )
 from qsslab.nonces import NonceSet, SECRETS, builtin_nonce_set, reflection, share_state
 from qsslab.protocol import outcome_distribution
-from oracles import haar_state, haar_unitaries, random_density
+from oracles import haar_state, haar_unitaries, phase_set, random_density
 
 
 def _plan_json(v_table: dict) -> dict:
@@ -35,7 +35,7 @@ def _plan_json(v_table: dict) -> dict:
 
 def _phase_set(k: int, seed: int) -> NonceSet:
     phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=(k, 4))
-    return NonceSet(name=f"phase-k{k}", states=tuple(0.5 * np.exp(1j * p) for p in phases))
+    return phase_set(phases, f"phase-k{k}")
 
 
 def _bitwise_equal(a, b) -> bool:
@@ -84,7 +84,7 @@ class TestStackedSvd:
         for name in ("hsu-I", "proposed-J"):
             ns = builtin_nonce_set(name)
             alpha = np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)
-            v, _ = max_overlap_unitary(alpha, ns.share_stack())
+            v, _ = max_overlap_unitary(alpha, ns.share_stack)
             for i, psi in enumerate(ns.states):
                 for n, s in enumerate(SECRETS):
                     assert _bitwise_equal(v[i, n], max_overlap_unitary(alpha, share_state(psi, s))[0])
@@ -95,7 +95,7 @@ class TestStackedStates:
                                     _phase_set(9, 3)], ids=lambda ns: ns.name)
     def test_reflections_and_shares_match_scalar_builders(self, ns):
         assert ns.reflections.shape == (len(ns), 4, 4)
-        shares = ns.share_stack()
+        shares = ns.share_stack
         assert shares.shape == (len(ns), 4, 4)
         for i, psi in enumerate(ns.states):
             assert _bitwise_equal(ns.reflections[i], reflection(psi))

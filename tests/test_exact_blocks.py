@@ -18,7 +18,7 @@ from qsslab.analysis import detection_bounds
 from qsslab.linalg import max_overlap_unitary, validate_state
 from qsslab.nonces import NonceSet, SECRETS, builtin_nonce_set
 from qsslab.protocol import RETIRED, outcome_distribution
-from oracles import haar_state, haar_unitaries
+from oracles import haar_state, haar_unitaries, phase_set
 
 PRIORS = (0.0, 0.3, 0.5, 1.0)
 
@@ -40,7 +40,7 @@ def _phase_sets(count: int) -> list:
     for n in range(count):
         k = 1 + (n * 5) % 64
         phases = np.random.default_rng([11, n]).uniform(0.0, 2.0 * np.pi, size=(k, 4))
-        out.append(NonceSet(name=f"phase-{n}", states=tuple(0.5 * np.exp(1j * p) for p in phases)))
+        out.append(phase_set(phases, f"phase-{n}"))
     return out
 
 
@@ -109,7 +109,7 @@ def test_fixed_target_plans_equal_the_full_stack_svd():
             t = SECRETS.index(policy.removeprefix("target-"))
             for alpha in (None, forced):
                 given = plan_arrays(ns, policy)[0] if alpha is None else validate_state(alpha, dim=4)
-                want, _ = max_overlap_unitary(given, ns.share_stack()[:, [t] * 4])
+                want, _ = max_overlap_unitary(given, ns.share_stack[:, [t] * 4])
                 plan = synthesize_plan(ns, policy, alpha=alpha)
                 where = f"{ns.name} k={len(ns)} {policy} forced={alpha is not None}"
                 assert plan.unitaries.tobytes() == want.tobytes(), where
@@ -142,7 +142,7 @@ def test_block_shapes():
     weights, outcomes, learned = honest_strategy().exact_block(ns, "10")
     assert (weights.shape, outcomes.shape, learned.shape) == ((k, 1), (k, 1, 4), (k, 1))
     assert all(secret is None for secret in learned.ravel())
-    assert outcomes.tobytes() == ns.recovery_stack()[:, [SECRETS.index("10")]].tobytes()
+    assert outcomes.tobytes() == ns.recovery_stack[:, [SECRETS.index("10")]].tobytes()
     strat = ifr_strategy(synthesize_plan(ns, "target-01"), ns)
     weights, outcomes, learned = strat.exact_block(ns, "10")
     assert (weights.shape, outcomes.shape, learned.shape) == ((k, 4), (k, 4, 4), (k, 4))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qsslab.adversary import honest_strategy, ifr_strategy, imr_guess_strategy, synthesize_plan
-from qsslab.nonces import NonceSet, SECRETS, builtin_nonce_set, share_state
+from qsslab.nonces import SECRETS, builtin_nonce_set, share_state
 from qsslab.protocol import (
     DETECT,
     EAVESDROPPER_DETECTED,
@@ -22,6 +22,7 @@ from qsslab.protocol import (
     outcome_distribution,
     stage_iv_verdict,
 )
+from oracles import phase_set
 
 PRIORS = (0.0, 0.3, 0.5, 1.0)
 ORACLE_TOL = 1e-12
@@ -106,7 +107,7 @@ def _random_sets(count: int) -> list:
     for n in range(count):
         k = 1 + n % 64
         phases = np.random.default_rng([7, n]).uniform(0.0, 2.0 * np.pi, size=(k, 4))
-        out.append(NonceSet(name=f"phase-{n}", states=tuple(0.5 * np.exp(1j * p) for p in phases)))
+        out.append(phase_set(phases, f"phase-{n}"))
     return out
 
 
@@ -176,7 +177,7 @@ class _FiveBranchesStrategy:
 
 @pytest.mark.parametrize("prior", PRIORS)
 def test_more_branches_than_rows(prior):
-    ns = NonceSet(name="one", states=(0.5 * np.exp(1j * np.arange(4)),))
+    ns = phase_set([np.arange(4)], "one")
     strat = _FiveBranchesStrategy()
     _assert_same(outcome_distribution(ns, strat, mode_prior=prior),
                  reference_distribution(ns, strat, mode_prior=prior), f"prior={prior}")

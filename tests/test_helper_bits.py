@@ -15,15 +15,15 @@ from qsslab.errors import ValidationError
 from qsslab.linalg import (bloch_from_density, canonical_purification, density_from_bloch,
                            fidelity_terms, pure_density)
 from qsslab.nonces import SECRETS, NonceSet, builtin_nonce_set
-from oracles import (haar_state, mean_objective_coeffs, pauli_sum_density, plain_purification,
-                     random_density, stacked_bloch)
+from oracles import (haar_state, mean_objective_coeffs, pauli_sum_density, phase_set,
+                     plain_purification, random_density, stacked_bloch)
 
 BUILTINS = ("hsu-I", "proposed-J")
 
 
 def _phase_set(k: int, seed: int) -> NonceSet:
     phases = np.random.default_rng([23, seed]).uniform(0.0, 2.0 * np.pi, size=(k, 4))
-    return NonceSet(name=f"phase-{k}", states=tuple(0.5 * np.exp(1j * p) for p in phases))
+    return phase_set(phases, f"phase-{k}")
 
 
 def _signed_zero_matrices() -> np.ndarray:
@@ -42,8 +42,8 @@ def _density_stacks() -> list:
     basis = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0.5, 0], [0, 0.5]]], dtype=complex)
     signed = basis + zeros[:, None].conj()
     stacks = [mixed, pure, zeros, signed.reshape(-1, 2, 2), np.concatenate([mixed, pure])]
-    stacks += [ns.reduced_share_stack() for ns in map(builtin_nonce_set, BUILTINS)]
-    return stacks + [_phase_set(16, 1).reduced_share_stack()]
+    stacks += [ns.reduced_share_stack for ns in map(builtin_nonce_set, BUILTINS)]
+    return stacks + [_phase_set(16, 1).reduced_share_stack]
 
 
 def _bytes_equal(got, want) -> bool:
@@ -96,7 +96,7 @@ def _share_stacks() -> list:
     stacks = [np.array([random_density(rng) for _ in range(n)]) for n in range(1, 34)]
     stacks += [pure_density(np.array([haar_state(2, rng) for _ in range(n)])) for n in (1, 7, 8)]
     sets = [builtin_nonce_set(name) for name in BUILTINS] + [_phase_set(k, k) for k in (1, 5, 11, 64)]
-    return stacks + [ns.reduced_share_stack()[:, n] for ns in sets for n in range(4)]
+    return stacks + [ns.reduced_share_stack[:, n] for ns in sets for n in range(4)]
 
 
 def test_objective_means_byte_for_byte():

@@ -22,7 +22,7 @@ def _ifr_announced_first():
 def _ifr_announced_twice():
     strat = adversary.ifr_strategy(adversary.synthesize_plan(PROPOSED, "target-01"), PROPOSED)
     rng = np.random.default_rng(0)
-    strat.intercept(PROPOSED.share_stack()[0, 0], rng)
+    strat.intercept(PROPOSED.share_stack[0, 0], rng)
     strat.nonce_announced(0, rng)
     return strat.nonce_announced(0, rng)
 

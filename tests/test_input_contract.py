@@ -1,15 +1,21 @@
-"""The CLI's exit-code contract as properties of mutated input files.
+"""The CLI's exit-code contract as properties of mutated inputs.
 
-Each example takes one valid input file (a nonce set for ``certify`` and
-``attack``, an ``--alpha`` file, a plan file for ``simulate``, a report
-file for ``report``), mutates its JSON tree or its bytes, and runs the
-command in-process through ``cli.main``.  Whatever the mutation:
+Each example of the file half takes one valid input file (a nonce set for
+``certify`` and ``attack``, an ``--alpha`` file, a plan file for
+``simulate``, a report file for ``report``), mutates its JSON tree or its
+bytes, and runs the command in-process through ``cli.main``.  The flag half
+mutates one flag value or one environment variable of a valid command
+line instead.  Whatever the mutation:
 
 * the run exits 0, 1 or 2, never 3 and never by an exception;
-* exits 1 and 2 write exactly one stderr line, naming the mutated file;
+* exits 1 and 2 write exactly one stderr line, naming the mutated file,
+  flag or variable (argparse writes its usage lines before that line);
 * exit 2 writes no output file;
 * exit 0 writes output files that parse: plans load again and reports
   merge with ``report``.
+
+A plan key spelled any other way than ``<nonce>,<secret>`` with a 1-based
+index and no leading zero, or naming a nonce beyond the plan, never loads.
 """
 import contextlib
 import csv
@@ -23,7 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qsslab.adversary import load_plan
+from qsslab.adversary import POLICIES, load_plan
 from qsslab.cli import main
 
 _scalars = (st.none() | st.booleans() | st.integers(-3, 3) | st.integers()
@@ -112,19 +118,20 @@ def _run(argv: list) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-def _parse_outputs(paths: list, scratch: Path) -> None:
-    """Every written file parses; plans load and reports merge."""
+def _parse_outputs(paths: list, scratch: Path, lines=None) -> None:
+    """Every written file parses; plans load and reports merge.  The file at
+    ``lines``, and any ``.jsonl`` file, holds JSON lines."""
     for path in paths:
         text = path.read_text(encoding="utf-8")
-        if path.suffix == ".json":
+        if path.suffix == ".jsonl" or path == lines:
+            assert text and all(json.loads(line) for line in text.splitlines())
+        elif path.suffix == ".json":
             payload = json.loads(text)
             if "v_table" in payload:
                 load_plan(path)
             elif "kind" in payload:
                 assert _run(["report", "--inputs", str(path), "--out", str(scratch / "merged")]) \
                     == (0, ""), path
-        elif path.suffix == ".jsonl":
-            assert text and all(json.loads(line) for line in text.splitlines())
         elif path.suffix == ".csv":
             assert list(csv.reader(io.StringIO(text)))
         else:
@@ -204,3 +211,160 @@ def test_mutated_input_keeps_the_exit_contract(valid_inputs, target, data):
         assert str(mutated) in err, err
         if code == 2:
             assert written == [], (err, written)
+
+
+# ---------------------------------------------------------------------------
+# The flag half.  Values are drawn as written on a command line: "{name}"
+# stands for a path made per example (see ``_paths``).  Drawn text holds
+# neither NUL nor lone surrogates, which argv and the environment cannot carry.
+
+_chars = st.characters(exclude_categories=["Cs"], exclude_characters="\x00")
+_text = st.text(_chars, max_size=4)
+_numbers = ["0", "1", "3", "-1", "+3", "03", "\u0663", "\uff13", "2_0", " 5", "2.5", "1e3",
+            "0x10", "nan", "inf", "-inf", "1e-400", "99999999999999999999", ""]
+_inputs = ["", "{tmp}", "{missing}", "{nonces}", "{near}", "{cert}", "{plan}"]
+_outputs = st.sampled_from(["", ".", "{tmp}", "{missing}/x.json", "x.json"]) | _text
+
+_FLAGS = {
+    # A valid count runs that many rounds, so drawn text stays below 100.
+    "--rounds": st.sampled_from([n for n in _numbers if len(n) < 4])
+    | st.text(_chars, max_size=2),
+    "--seed": st.sampled_from(_numbers) | _text,
+    "--mode-prior": st.sampled_from(_numbers + ["0.3", "\u0660.\u0665", "-0", "1.0000001"]) | _text,
+    "--policy": st.sampled_from([*POLICIES, "target", "TARGET-01", "target-01 "]) | _text,
+    "--strategy": st.sampled_from(["honest", "imr-guess", "imr-guess:", "ifr", "ifr:", "Honest"])
+    | (st.sampled_from(_numbers) | _text).map("imr-guess:{}".format)
+    | st.sampled_from(_inputs).map("ifr:{}".format) | _text,
+    "--nonces": st.sampled_from(["builtin:hsu-I", "builtin:proposed-J", "builtin:", "builtin:nope",
+                                 "Builtin:hsu-I", *_inputs]) | _text,
+    "--out": _outputs,
+    "--transcripts": _outputs,
+    "QSSLAB_SEED": st.sampled_from(_numbers) | _text,
+    "SOURCE_DATE_EPOCH": st.sampled_from(_numbers) | _text,
+}
+
+_SIMULATE = ["simulate", "--nonces", "builtin:proposed-J", "--strategy", "ifr:{plan}",
+             "--rounds", "10", "--mode-prior", "0.5",
+             "--transcripts", "rounds.jsonl", "--out", "sim.json"]
+_CERTIFY = ["certify", "--nonces", "builtin:proposed-J", "--out", "cert.json"]
+_ATTACK = ["attack", "--nonces", "builtin:proposed-J", "--policy", "target-01",
+           "--out", "plan.json"]
+# The command lines each flag or variable is mutated in; without --seed,
+# simulate takes its seed from QSSLAB_SEED.
+_SEEDED = [*_SIMULATE, "--seed", "3"]
+_COMMANDS = {
+    **dict.fromkeys(["--rounds", "--seed", "--mode-prior", "--strategy", "--transcripts"],
+                    [_SEEDED]),
+    "--policy": [_ATTACK],
+    **dict.fromkeys(["--nonces", "--out"], [_CERTIFY, _ATTACK, _SEEDED]),
+    **dict.fromkeys(["QSSLAB_SEED", "SOURCE_DATE_EPOCH"], [_CERTIFY, _SIMULATE]),
+}
+
+
+def _paths(tmp: Path, valid_inputs: dict) -> dict:
+    """The paths a drawn value may name, by placeholder: valid input files, a
+    directory and a path in a directory that does not exist."""
+    near = {"name": "near", "states": [[[0.5000001, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 0.0]],
+                                       [[0.5, 0.0], [0.5, 0.0], [-0.5, 0.0], [0.5, 0.0]]]}
+    paths = {"tmp": tmp, "missing": tmp / "missing", "near": tmp / "in" / "near.json"}
+    paths["near"].write_text(json.dumps(near), encoding="utf-8")
+    for name in ("nonces", "cert", "plan"):
+        paths[name] = tmp / "in" / f"{name}.json"
+        paths[name].write_text(json.dumps(valid_inputs[name]), encoding="utf-8")
+    return {f"{{{name}}}": str(path) for name, path in paths.items()}
+
+
+def _filled(arg: str, paths: dict) -> str:
+    """``arg`` with each placeholder of ``paths`` replaced by its path."""
+    for placeholder, path in paths.items():
+        arg = arg.replace(placeholder, path)
+    return arg
+
+
+def _names(line: str, surface: str, value: str) -> bool:
+    """Whether a message line names the flag or variable, or the value given,
+    or the part of a ``builtin:``, ``imr-guess:`` or ``ifr:`` value after its
+    colon, as written or quoted."""
+    tail = value.partition(":")[2]
+    return any(name in line for name in (surface, value, tail, repr(value), repr(tail)) if name)
+
+
+@settings(_contract, max_examples=40)
+@given(data=st.data())
+@pytest.mark.parametrize("surface", list(_FLAGS))
+def test_mutated_flag_keeps_the_exit_contract(valid_inputs, surface, data):
+    template = data.draw(st.sampled_from(_COMMANDS[surface]), label="command")
+    raw = data.draw(_FLAGS[surface], label="value")
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        tmp = Path(tmp)
+        (tmp / "in").mkdir()
+        (tmp / "out").mkdir()
+        paths = _paths(tmp, valid_inputs)
+        value = _filled(raw, paths)
+        argv = [_filled(arg, paths) for arg in template]
+        mp.chdir(tmp / "out")
+        mp.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        mp.delenv("QSSLAB_SEED", raising=False)
+        if surface.startswith("-"):
+            argv[argv.index(surface) + 1] = value
+        else:
+            mp.setenv(surface, value)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a flag value at parse time
+                code = exc.code
+        err = err.getvalue()
+        written = sorted(p for p in tmp.rglob("*") if p.is_file() and p.parent != tmp / "in")
+        assert code in (0, 1, 2), err
+        if code == 0:
+            lines = argv[argv.index("--transcripts") + 1] if "--transcripts" in argv else None
+            _parse_outputs(written, tmp, lines and tmp / "out" / lines)
+            return
+        *usage, line = err.splitlines() or [""]
+        assert err.endswith("\n") and all(u.startswith(("usage: ", " ")) for u in usage), err
+        assert _names(line, surface, value), err
+        if code == 2:
+            assert written == [], (err, written)
+
+
+_KEY_SPELLINGS = st.one_of(
+    st.integers(1, 3).map(lambda zeros: "0" * zeros),                 # leading zeros
+    st.sampled_from(["+", "-", " "]),                                   # a sign or a space
+    st.sampled_from(["0", "5", "17", "99999999999999999999"]).map(lambda i: "=" + i),
+    st.sampled_from(["\u0660", "\u0966", "\uff10"]).map(lambda zero: "~" + zero),
+)
+
+
+def _respelled(key: str, how: str) -> str:
+    """``key`` with its nonce index respelled: ``=i`` names index i instead,
+    ``~z`` writes the index in the digits that start at z, anything else is
+    a prefix."""
+    index, _, secret = key.partition(",")
+    if how.startswith("="):
+        index = how[1:]
+    elif how.startswith("~"):
+        index = "".join(chr(ord(how[1]) + int(d)) for d in index)
+    else:
+        index = how + index
+    return f"{index},{secret}"
+
+
+@_contract
+@given(key=st.sampled_from([f"{i},{s}" for i in range(1, 5) for s in ("00", "01", "10", "11")]),
+       how=_KEY_SPELLINGS, keep=st.booleans())
+def test_respelled_plan_key_never_loads(valid_inputs, key, how, keep):
+    """A plan whose table has one key respelled, in place of the key or beside
+    it, exits 2 naming the plan file and writes nothing."""
+    plan = dict(valid_inputs["plan"], v_table=dict(valid_inputs["plan"]["v_table"]))
+    new_key = _respelled(key, how)
+    plan["v_table"][new_key] = plan["v_table"][key] if keep else plan["v_table"].pop(key)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "respelled.json"
+        path.write_text(json.dumps(plan), encoding="utf-8")
+        code, err = _run(["simulate", "--nonces", "builtin:proposed-J", "--strategy", f"ifr:{path}",
+                          "--rounds", "5", "--transcripts", str(tmp / "rounds.jsonl")])
+        assert (code, err.count("\n")) == (2, 1) and str(path) in err, (new_key, err)
+        assert not (tmp / "rounds.jsonl").exists()

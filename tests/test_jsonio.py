@@ -5,10 +5,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qsslab.adversary import POLICIES, AttackPlan, load_plan
+from qsslab.adversary import (POLICIES, AttackPlan, honest_strategy, ifr_strategy,
+                              imr_guess_strategy, load_plan, synthesize_plan)
+from qsslab.analysis import certify
 from qsslab.errors import ValidationError
 from qsslab.jsonio import complex_from_json, complex_to_json, read_json, write_json
-from qsslab.nonces import load_nonce_set, nonce_set_from_json_dict
+from qsslab.nonces import NonceSet, builtin_nonce_set, load_nonce_set, nonce_set_from_json_dict
+from qsslab.protocol import RoundConfig, run_rounds
+from oracles import certification_json, phase_set, transcript_json
 
 
 class TestReadWrite:
@@ -41,6 +45,30 @@ class TestReadWrite:
         path.write_text("1" * 5000)
         with pytest.raises(ValidationError, match="long.json"):
             read_json(path)
+
+
+class TestSerialisedFields:
+    """``to_json_dict`` starts from the dataclass fields, so the file formats
+    are pinned here field by field: a new field must not change them unseen."""
+
+    def test_certification_body(self):
+        phase_sets = [phase_set(np.random.default_rng([31, k]).uniform(0.0, 2.0 * np.pi, (k, 4)),
+                                f"phase-{k}") for k in (1, 5, 12)]
+        # Just off recoverable, so certify computes no detection bounds.
+        near = NonceSet(name="near", states=([0.5000001, 0.5, 0.5, 0.5], [0.5, 0.5, -0.5, 0.5]))
+        for ns in (builtin_nonce_set("hsu-I"), builtin_nonce_set("proposed-J"), *phase_sets, near):
+            report = certify(ns)
+            assert report.to_json_dict() == certification_json(report), ns.name
+        assert report.detection_bounds is None
+
+    def test_transcript_records(self, proposed_set):
+        strategies = [honest_strategy(), imr_guess_strategy("uniform-random", proposed_set),
+                      *(ifr_strategy(synthesize_plan(proposed_set, policy), proposed_set)
+                        for policy in ("target-secret", "target-01"))]
+        cfg = RoundConfig(nonce_set=proposed_set, rng_seed=5)
+        for strategy in strategies:
+            for t in run_rounds(cfg, strategy, 50):
+                assert t.to_json_dict() == transcript_json(t), (strategy.name, t.round_index)
 
 
 class TestComplexCodec:

@@ -22,7 +22,7 @@ from qsslab.nonces import (
     sample_outcome,
     share_state,
 )
-from oracles import haar_state
+from oracles import haar_state, phase_set
 
 EYE4 = np.eye(4, dtype=complex)
 
@@ -160,36 +160,36 @@ class TestNonceSetArrays:
     the set, read-only, and independent of the caller's input."""
 
     def test_arrays_are_read_only(self, proposed_set):
-        for arr in (proposed_set.states, proposed_set.reflections, proposed_set.share_stack(),
-                    proposed_set.reduced_share_stack(), proposed_set.recovery_stack()):
+        for arr in (proposed_set.states, proposed_set.reflections, proposed_set.share_stack,
+                    proposed_set.reduced_share_stack, proposed_set.recovery_stack):
             with pytest.raises(ValueError):
                 arr[0, 0] = 0.0
 
     def test_share_stack_built_once(self, proposed_set):
-        assert proposed_set.share_stack() is proposed_set.share_stack()
+        assert proposed_set.share_stack is proposed_set.share_stack
 
     def test_reduced_and_recovery_stacks_match_fresh_kernels(self):
         rng = np.random.default_rng(41)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(13, 4))
         sets = [builtin_nonce_set("hsu-I"), builtin_nonce_set("proposed-J"),
-                NonceSet(name="phase", states=tuple(0.5 * np.exp(1j * p) for p in phases)),
+                phase_set(phases, "phase"),
                 NonceSet(name="haar", states=tuple(haar_state(4, rng) for _ in range(7)))]
         for ns in sets:
-            shares = ns.share_stack()
+            shares = ns.share_stack
             reduced = partial_trace_E(pure_density(shares))
             recovery = np.stack([np.abs(ns.reflections @ shares[:, n, :, None])[..., 0] ** 2
                                  for n in range(len(SECRETS))], axis=1)
-            for got, want in ((ns.reduced_share_stack(), reduced), (ns.recovery_stack(), recovery)):
+            for got, want in ((ns.reduced_share_stack, reduced), (ns.recovery_stack, recovery)):
                 assert got.shape == want.shape and got.dtype == want.dtype, ns.name
                 assert got.tobytes() == want.tobytes(), ns.name
 
     def test_caller_input_copied(self):
         vecs = [0.5 * np.ones(4, dtype=complex), 0.5 * np.array([1, 1, -1, -1], dtype=complex)]
         ns = NonceSet(name="two", states=vecs)
-        before = (ns.states.copy(), ns.reflections.copy(), ns.share_stack().copy())
+        before = (ns.states.copy(), ns.reflections.copy(), ns.share_stack.copy())
         vecs[0][:] = [1, 0, 0, 0]
         vecs[1][0] = -0.5
-        for arr, want in zip((ns.states, ns.reflections, ns.share_stack()), before):
+        for arr, want in zip((ns.states, ns.reflections, ns.share_stack), before):
             assert np.array_equal(arr, want)
 
     def test_array_input_builds_same_set(self, proposed_set):
@@ -198,7 +198,7 @@ class TestNonceSetArrays:
         assert from_array.states.shape == (4, 4)
         for attr in ("states", "reflections"):
             assert np.array_equal(getattr(from_array, attr), getattr(from_tuple, attr))
-        assert np.array_equal(from_array.share_stack(), from_tuple.share_stack())
+        assert np.array_equal(from_array.share_stack, from_tuple.share_stack)
 
 
 class TestNonceSetJson:

@@ -213,6 +213,11 @@ class TestExactDistribution:
         assert sum(dist.verdict_probs.values()) == pytest.approx(1.0, abs=1e-9)
         assert dist.verdict_probs[EAVESDROPPER_DETECTED] == pytest.approx(dist.p_detect, abs=1e-12)
 
+    def test_compares_only_with_distributions_and_names_p_detect(self, proposed_set):
+        dist = outcome_distribution(proposed_set, honest_strategy())
+        assert dist.__eq__(dist.table) is NotImplemented and dist != dist.table
+        assert f"p_detect={dist.p_detect!r}" in repr(dist)
+
 
 class TestMonteCarloVsExact:
     @pytest.mark.parametrize("set_name", ["hsu-I", "proposed-J"])
