@@ -35,6 +35,9 @@ EXIT_OK = 0
 EXIT_CERTIFICATION = 1
 EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
+# The manifest's version of the numerical methods behind output values; a
+# change that moves output bits bumps it.  1: steering unitaries by SVD.
+NUMERICS = 1
 
 
 _EXPECTED = {int: "an integer", float: "a number"}
@@ -103,6 +106,7 @@ def build_manifest(command: str, nonce_source: str, seed: int,
         "rounds": rounds,
         "mode_prior": mode_prior,
         "tool_version": __version__,
+        "numerics": NUMERICS,
         "timestamp": _timestamp(),
     }
 
