@@ -19,7 +19,6 @@ from .linalg import (
     partial_trace_E,
     pure_density,
     state_fidelity,
-    svd_2x2,
     tensor,
 )
 from .nonces import (

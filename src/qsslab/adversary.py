@@ -347,7 +347,7 @@ def require_recoverable(nonce_set: NonceSet) -> None:
 def plan_arrays(nonce_set: NonceSet, policy: str,
                 alpha: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The ``alpha`` and ``unitaries`` of ``synthesize_plan``, unwrapped and
-    with no recoverability check; a fixed target takes one SVD per nonce."""
+    with no recoverability check; a fixed target takes one steering unitary per nonce."""
     targets = [SECRETS.index(policy_target(policy, s)) for s in SECRETS]
     if alpha is None:
         alpha = canonical_purification(_optimizer_state(nonce_set, targets))

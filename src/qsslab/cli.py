@@ -35,9 +35,9 @@ EXIT_OK = 0
 EXIT_CERTIFICATION = 1
 EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
-# The manifest's version of the numerical methods behind output values; a
-# change that moves output bits bumps it.  1: steering unitaries by SVD.
-NUMERICS = 1
+# The version of the numerical methods behind output values, bumped by a change
+# that moves output bits.  1: steering by SVD; 2: by the closed-form polar factor.
+NUMERICS = 2
 
 
 _EXPECTED = {int: "an integer", float: "a number"}

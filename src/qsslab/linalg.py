@@ -4,7 +4,7 @@ Everything here works on plain numpy arrays: state vectors are 1-D complex
 arrays of length 2 or 4 (two-qubit basis order 00, 01, 10, 11 with the
 first tensor factor held by Eve), density matrices and unitaries are 2-D
 complex arrays.  All operations are pure functions; inputs are never
-mutated.
+mutated.  Steering (``max_overlap_unitary``) is a closed-form polar factor.
 
 Tolerance: TOL (1e-9) for algebraic identities that hold exactly at these
 dimensions; INPUT_TOL (1e-6) for the checks on given states and unitaries.
@@ -22,6 +22,7 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _EYE2 = np.broadcast_to(np.eye(2, dtype=complex), (2, 2))  # a read-only identity
+_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def validate_state(v, *, dim: int | None = None, what: str = "state") -> np.ndarray:
@@ -177,19 +178,6 @@ def density_from_bloch(v) -> np.ndarray:
     return 0.5 * (_EYE2 + v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z)
 
 
-def svd_2x2(m):
-    """SVD of a 2x2 complex matrix: m = U diag(s) W^dagger, s descending.
-
-    A stack along leading axes gives ``(U, s, W)`` with ``s`` of shape
-    ``(..., 2)``; a single matrix is a stack with no leading axes.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.shape[-2:] != (2, 2):
-        raise ValidationError("svd_2x2 expects a 2x2 matrix")
-    u, s, wh = np.linalg.svd(m)
-    return u, s, wh.conj().swapaxes(-1, -2)
-
-
 def sqrtm_psd(rho) -> np.ndarray:
     """Matrix square root of a Hermitian PSD matrix via eigendecomposition."""
     vals, vecs = np.linalg.eigh(np.asarray(rho, dtype=complex))
@@ -223,20 +211,35 @@ def max_overlap_unitary(alpha, target):
 
     Maximizes |<target| (V x I) |alpha>|^2 over single-qubit unitaries V
     acting on the first (Eve) factor.  Writing both states as 2x2
-    coefficient matrices A, B (row = Eve index, column = Bob index), the
-    overlap is Tr(V A B^dagger), maximized by V = W U^dagger from the SVD
-    of A B^dagger; the optimum equals (s1 + s2)^2, which by Uhlmann's
-    theorem is the fidelity of the Bob-side reduced states.
+    coefficient matrices A, M (row = Eve index, column = Bob index), the
+    overlap is Tr(V X) with X = A M^dagger.  Its maximum is (s1 + s2)^2 for
+    the singular values of X, which by Uhlmann's theorem is the fidelity of
+    the Bob-side reduced states.  For 2x2 matrices, with e^{i phi} = det X / |det X|,
+
+        (s1 + s2)^2 = ||X||_F^2 + 2 |det X|,   V = (X^dagger + e^{-i phi} adj X) / (s1 + s2),
+
+    the inverse of X's polar factor.  Where det X is exactly 0, X has rank
+    at most 1 and V's phase on its null direction is free: e^{i phi} = 1
+    there, and V = I where X = 0.
 
     ``alpha`` and ``target`` broadcast over leading axes: two single states
     give ``(V, float)``, stacks give ``(V of shape (..., 2, 2), values)``.
+    Every step is elementwise, so a pair gives the same bits alone as in a stack.
     """
     alpha = np.asarray(alpha, dtype=complex)
     target = np.asarray(target, dtype=complex)
-    a = alpha.reshape(alpha.shape[:-1] + (2, 2))
-    b = target.reshape(target.shape[:-1] + (2, 2))
-    u, s, w = svd_2x2(a @ b.conj().swapaxes(-1, -2))
-    v = w @ u.conj().swapaxes(-1, -2)
-    # float_power rounds like C pow; a numpy square (x * x) differs from it
-    # in the last bit for about 1 value in 1000.
-    return v, np.float_power(s[..., 0] + s[..., 1], 2.0)
+    terms = (alpha.reshape(alpha.shape[:-1] + (2, 1, 2)).conj()
+             * target.reshape(target.shape[:-1] + (1, 2, 2)))
+    xc = terms[..., 0] + terms[..., 1]  # conj(X)
+    det = xc[..., 0, 0] * xc[..., 1, 1] - xc[..., 0, 1] * xc[..., 1, 0]  # conj(det X)
+    size = np.abs(det)
+    phase = np.divide(det, size, out=np.ones_like(det), where=size > 0)  # e^{-i phi}
+    sq = np.square(xc.real) + np.square(xc.imag)
+    value = (sq[..., 0, 0] + sq[..., 0, 1]) + (sq[..., 1, 0] + sq[..., 1, 1]) + 2.0 * size
+    # V^T = conj(X) + e^{-i phi} (adj X)^T; (adj X)^T is X half-turned, off-diagonal negated.
+    vt = xc + (phase[..., None, None] * _ADJ_SIGNS) * xc[..., ::-1, ::-1].conj()
+    scale = np.sqrt(value)[..., None, None]
+    v = np.empty(vt.shape, dtype=complex)
+    v[...] = _EYE2
+    np.divide(vt.swapaxes(-1, -2), scale, out=v, where=scale > 0)
+    return v, value

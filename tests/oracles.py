@@ -1,7 +1,8 @@
 """Test-only helpers: random inputs, reference formulas and witnesses.
 
 The random draws feed seeded tests; ``bob_marginal``,
-``average_recovery`` and ``grid_max_average_fidelity`` are independent
+``average_recovery``, ``grid_max_average_fidelity`` and the LAPACK SVD
+steering ``svd_overlap_unitary`` (over ``svd_2x2``) are independent
 formulas and searches the package's array code is checked against.
 ``recovery_amplitude`` and the two Bloch-mean bounds are the closed-form
 witnesses of the recovery law and of the universal detection ceiling.
@@ -85,6 +86,28 @@ def transcript_json(t) -> dict:
         "verdict": t.verdict,
         "recovered_secret_bit": t.recovered_secret_bit,
     }
+
+
+def svd_2x2(m):
+    """SVD of a 2x2 complex matrix by LAPACK: m = U diag(s) W^dagger, s descending.
+
+    A stack along leading axes gives ``(U, s, W)`` with ``s`` of shape
+    ``(..., 2)``; a single matrix is a stack with no leading axes.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.shape[-2:] != (2, 2):
+        raise ValidationError("svd_2x2 expects a 2x2 matrix")
+    u, s, wh = np.linalg.svd(m)
+    return u, s, wh.conj().swapaxes(-1, -2)
+
+
+def svd_overlap_unitary(alpha, target) -> tuple[np.ndarray, np.ndarray]:
+    """``linalg.max_overlap_unitary`` by SVD: X = A M^dagger = U S W^dagger
+    gives V = W U^dagger and the value (s1 + s2)^2."""
+    a = np.asarray(alpha, dtype=complex).reshape(np.shape(alpha)[:-1] + (2, 2))
+    m = np.asarray(target, dtype=complex).reshape(np.shape(target)[:-1] + (2, 2))
+    u, s, w = svd_2x2(a @ m.conj().swapaxes(-1, -2))
+    return w @ u.conj().swapaxes(-1, -2), (s[..., 0] + s[..., 1]) ** 2
 
 
 def bob_marginal(state) -> np.ndarray:

@@ -19,12 +19,11 @@ from qsslab.linalg import (
     max_overlap_unitary,
     partial_trace_E,
     pure_density,
-    svd_2x2,
     validate_unitary,
 )
 from qsslab.nonces import NonceSet, SECRETS, builtin_nonce_set, reflection, share_state
 from qsslab.protocol import outcome_distribution
-from oracles import haar_state, haar_unitaries, phase_set, random_density
+from oracles import haar_state, haar_unitaries, phase_set, random_density, svd_2x2
 
 
 def _plan_json(v_table: dict) -> dict:

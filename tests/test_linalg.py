@@ -14,13 +14,12 @@ from qsslab.linalg import (
     partial_trace_E,
     pure_density,
     state_fidelity,
-    svd_2x2,
     tensor,
     validate_state,
     validate_unitary,
 )
 from qsslab.nonces import MINUS, PLUS, PLUS_I
-from oracles import bob_marginal, haar_state, haar_unitaries, random_density
+from oracles import bob_marginal, haar_state, haar_unitaries, random_density, svd_2x2
 
 S2 = 1.0 / np.sqrt(2.0)
 KET0 = np.array([1, 0], dtype=complex)
