@@ -67,7 +67,8 @@ _rounds = _flag(int, lambda v: v >= 1, "must be >= 1, got {value}")
 _prior = _flag(float, lambda v: 0.0 <= v <= 1.0, "must be a finite number in [0, 1], got {raw}")
 _source = _flag(str, bool, "expected builtin:<name> or a path, got {raw!r}")
 _path = _flag(str, bool, "expected a path, got {raw!r}")
-# A file to write, checked before any work, so a failed run writes no file.
+# A file to write, checked before any work, so a failed run writes no file;
+# commands check the files they write beside --out with it too.
 _out = _flag(_path, lambda p: not os.path.isdir(p) and os.path.isdir(os.path.dirname(p) or "."),
              "expected a file path in an existing directory, got {raw!r}")
 
@@ -122,6 +123,7 @@ def manifest_hash(manifest: dict) -> str:
 def cmd_certify(args) -> int:
     manifest = build_manifest("certify", args.nonces, _default_seed(), 0, 0.5) \
         if args.out else None
+    txt_path = args.out and _out(args.out.removesuffix(".json") + ".txt")
     nonce_set = resolve_nonce_source(args.nonces)
     report = analysis.certify(nonce_set)
     text = analysis.format_certification(nonce_set, report)
@@ -132,8 +134,6 @@ def cmd_certify(args) -> int:
             "manifest": manifest,
             "certification": report.to_json_dict(),
         })
-        txt_path = args.out + ".txt" if not args.out.endswith(".json") \
-            else args.out[: -len(".json")] + ".txt"
         with open(txt_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     failed = [c for c in ("recoverable", "secret", "imr_protected") if not getattr(report, c)]
@@ -317,14 +317,15 @@ def _report_entry(payload) -> tuple:
 
 
 def cmd_report(args) -> int:
+    json_path, csv_path = _out(args.out + ".json"), _out(args.out + ".csv")
     # Every file is decoded, duplicates too, so a malformed one always names itself.
     rows = {}
     for path in args.inputs:
         digest, row = load_json(path, _report_entry)
         rows.setdefault(digest, row)
     rows = sorted(rows.values(), key=lambda r: (str(r["nonce_set"]), str(r["strategy"])))
-    write_json(args.out + ".json", {"columns": list(_REPORT_COLUMNS), "rows": rows})
-    with open(args.out + ".csv", "w", encoding="utf-8", newline="") as fh:
+    write_json(json_path, {"columns": list(_REPORT_COLUMNS), "rows": rows})
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_REPORT_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
@@ -392,7 +393,7 @@ def main(argv=None) -> int:
     except CertificationError as exc:  # only certify and attack certify a set
         sys.stderr.write(f"certification failure: {args.nonces}: {exc}\n")
         return EXIT_CERTIFICATION
-    except (ValidationError, OSError) as exc:
+    except (ValidationError, OSError, argparse.ArgumentTypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
     except Exception as exc:  # exit 3 with one line, never a traceback

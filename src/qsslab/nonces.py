@@ -199,11 +199,10 @@ def load_nonce_set(path) -> NonceSet:
 
 
 def resolve_nonce_source(source: str) -> NonceSet:
-    """Resolve 'builtin:<name>' or a file path to a NonceSet."""
+    """Resolve a ``--nonces`` value, 'builtin:<name>' or a file path, to a NonceSet."""
     if source.startswith("builtin:"):
-        name = source.split(":", 1)[1]
-        try:
-            return builtin_nonce_set(name)
-        except KeyError as exc:
-            raise ValidationError(str(exc)) from exc
+        if (name := source.split(":", 1)[1]) not in BUILTIN_NAMES:
+            raise ValidationError(f"--nonces {source}: unknown builtin nonce set; "
+                                  f"choices: {', '.join(BUILTIN_NAMES)}")
+        return builtin_nonce_set(name)
     return load_nonce_set(source)

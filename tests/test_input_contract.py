@@ -368,3 +368,23 @@ def test_respelled_plan_key_never_loads(valid_inputs, key, how, keep):
                           "--rounds", "5", "--transcripts", str(tmp / "rounds.jsonl")])
         assert (code, err.count("\n")) == (2, 1) and str(path) in err, (new_key, err)
         assert not (tmp / "rounds.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv, beside", [
+    (["certify", "--nonces", "builtin:proposed-J", "--out", "x.json"], "x.txt"),
+    (["report", "--inputs", "--out", "s"], "s.csv"),
+])
+def test_directory_beside_the_output_writes_nothing(tmp_path, monkeypatch, argv, beside):
+    """A command that writes a second file beside ``--out`` checks it before
+    any work: a directory there exits 2 naming it, and no file is left."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / beside).mkdir()
+    code, err = _run(argv)
+    assert (code, err.count("\n")) == (2, 1) and beside in err, err
+    assert [p.name for p in tmp_path.iterdir()] == [beside]
+
+
+def test_unknown_builtin_names_the_flag_and_value():
+    code, err = _run(["simulate", "--nonces", "builtin:nope", "--strategy", "honest", "--exact"])
+    assert code == 2
+    assert err == "error: --nonces builtin:nope: unknown builtin nonce set; choices: hsu-I, proposed-J\n"
