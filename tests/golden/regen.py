@@ -10,7 +10,8 @@ in-process through ``qsslab.cli.main`` in a fresh directory, under
 The output files go to ``session/``, the transcripts gzipped (with no
 timestamp, so their bytes depend on the content and zlib alone);
 ``session.json`` holds each command's argv, exit code, stdout and stderr,
-and the numpy version that wrote them.  The set stays near 100 KB.
+and the numpy version and CPU features that wrote them (numpy's loops and
+its BLAS pick their kernels by both).  The set stays near 100 KB.
 ``tests/test_golden.py`` runs the same session and compares.  A change
 that means to move output bits bumps ``cli.NUMERICS``, runs this script
 and lists every changed file with its largest difference.
@@ -72,6 +73,16 @@ def golden_names() -> list:
     return sorted(p.name.removesuffix(".gz") for p in SESSION_DIR.iterdir())
 
 
+def numpy_platform() -> dict:
+    """The numpy version and the CPU features numpy detected."""
+    import numpy as np
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return {"numpy": np.__version__, "cpu": sorted(k for k, on in __cpu_features__.items() if on)}
+
+
 def run_session(workdir: Path) -> list:
     """Run every command in ``workdir``; one record per command."""
     from qsslab.cli import main
@@ -104,8 +115,6 @@ def run_session(workdir: Path) -> list:
 
 def main() -> None:
     sys.path.insert(0, str(HERE.parent.parent / "src"))
-    import numpy as np
-
     with tempfile.TemporaryDirectory() as tmp:
         records = run_session(Path(tmp))
         shutil.rmtree(SESSION_DIR, ignore_errors=True)
@@ -116,7 +125,7 @@ def main() -> None:
                     fh.write(path.read_bytes())
             else:
                 shutil.copyfile(path, SESSION_DIR / path.name)
-    SESSION_FILE.write_text(json.dumps({"numpy": np.__version__, "commands": records},
+    SESSION_FILE.write_text(json.dumps({**numpy_platform(), "commands": records},
                                        indent=2, sort_keys=True) + "\n", encoding="utf-8")
     size = SESSION_FILE.stat().st_size + sum(p.stat().st_size for p in SESSION_DIR.iterdir())
     print(f"wrote {len(records)} commands, {len(list(SESSION_DIR.iterdir()))} files, "

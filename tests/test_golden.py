@@ -3,18 +3,18 @@
 Exit codes, stderr lines, strings, integers and booleans must be equal and
 floats within 1e-12.  A number printed in text is compared at the precision
 it is printed with: values 1e-12 apart can round to neighbouring last
-digits.  With the numpy version that wrote the goldens, every output file
-and stream must also be identical byte for byte; with another version that
-check is skipped, since its ufunc and BLAS loops may round differently.
+digits.  With the numpy version and CPU features that wrote the goldens,
+every output file and stream must also be identical byte for byte; with
+others that check is skipped, since numpy's loops and its BLAS pick their
+kernels by both and may round differently.
 """
 import csv
 import json
 import re
 
-import numpy as np
 import pytest
 
-from golden.regen import SESSION_FILE, golden_names, read_golden, run_session
+from golden.regen import SESSION_FILE, golden_names, numpy_platform, read_golden, run_session
 
 TOL = 1e-12
 RECORDED = json.loads(SESSION_FILE.read_text(encoding="utf-8"))
@@ -99,9 +99,12 @@ def test_session_matches_the_goldens(session):
 
 
 def test_session_is_byte_identical_to_the_goldens(session):
-    if np.__version__ != RECORDED["numpy"]:
-        pytest.skip(f"goldens were written with numpy {RECORDED['numpy']}, this is "
-                    f"{np.__version__}; the tolerance test above covers it")
+    here = numpy_platform()
+    if here != {key: RECORDED[key] for key in here}:
+        differ = sorted(set(here["cpu"]) ^ set(RECORDED["cpu"])) or "none"
+        pytest.skip(f"goldens were written with numpy {RECORDED['numpy']}, this is numpy "
+                    f"{here['numpy']}, and these CPU features differ: {differ}; the "
+                    "tolerance test above covers it")
     records, files = session
     assert records == RECORDED["commands"]
     for name, blob in sorted(files.items()):
