@@ -28,16 +28,24 @@ def session(tmp_path_factory):
     return records, {p.name: p.read_bytes() for p in workdir.iterdir()}
 
 
+def _unit(token: str) -> float:
+    """One unit of the last digit a number token prints; 0 for an integer."""
+    if not re.search(r"[.eE]", token):
+        return 0.0
+    mantissa, _, exponent = token.lower().partition("e")
+    return 10.0 ** (int(exponent or 0) - len(mantissa.partition(".")[2]))
+
+
 def _printed_close(got: str, want: str) -> bool:
-    """Equal number tokens, or a float within TOL plus one unit of the last
-    digit ``want`` prints."""
+    """Whether two printed numbers can print floats within TOL: each lies
+    within half a unit of its last digit of the float it prints.  Two
+    integer tokens must be equal; beside a float token an integer token is
+    exact, as ``%g`` prints 0.0 as ``0``."""
     if got == want:
         return True
-    if not re.search(r"[.eE]", want):
+    if not re.search(r"[.eE]", got + want):
         return False
-    mantissa, _, exponent = want.lower().partition("e")
-    unit = 10.0 ** (int(exponent or 0) - len(mantissa.partition(".")[2]))
-    return abs(float(got) - float(want)) <= TOL + unit
+    return abs(float(got) - float(want)) <= TOL + 0.5 * (_unit(got) + _unit(want))
 
 
 def _text_diffs(got: str, want: str) -> list:
@@ -113,10 +121,12 @@ def test_session_is_byte_identical_to_the_goldens(session):
 
 @pytest.mark.parametrize("got, want, close", [
     ("0.500000000001", "0.500000000000", True),   # one unit of the 12th decimal
-    ("0.50000000001", "0.500000000000", False),
+    ("0.500000000011", "0.500000000000", False),
     ("1.111e-16", "0.000e+00", True),
     ("0.5", "0.499999", True),                     # %.6g rounds 0.49999999 up
     ("2", "3", False),                             # integers are equal or not
+    ("2.88889e-34", "0", True),                    # %g of 0.0 and of 2.9e-34
+    ("1e-10", "0", False),
     ("01", "01", True),
 ])
 def test_printed_numbers_compare_at_their_precision(got, want, close):
