@@ -34,6 +34,7 @@ from . import analysis
 from .errors import CertificationError, PlanIncompleteError, ValidationError
 from .jsonio import complex_from_json, complex_to_json, load_json, write_json
 from .linalg import (
+    _MIXED_PURIFICATION,
     TOL,
     canonical_purification,
     max_overlap_unitary,
@@ -317,23 +318,6 @@ def policy_target(policy: str, s: str) -> str:
     raise ValidationError(f"unknown policy {policy!r}")
 
 
-def _optimizer_state(nonce_set: NonceSet, targets: list) -> np.ndarray:
-    """The single-qubit state whose purification Eve commits to, given the
-    index into SECRETS of the target of each secret."""
-    # Eve fixes alpha before she learns anything, so this is the maximizer
-    # of the average fidelity against Bob's reduced shares over every
-    # (nonce, secret) pair, each share taken for the policy's target of that
-    # secret.  For a fixed-target policy that is the R(target) optimizer.
-    # Only target-secret has more than one target; when every target's
-    # maximizer is the same state (I/2 for both builtin sets) the average
-    # keeps it, because an average of concave objectives that share a
-    # maximizer is maximized there too.  Means in target-major order, as
-    # ``max_average_fidelity`` takes them over the stacked reduced shares.
-    blochs = nonce_set.reduced_blochs[:, targets].swapaxes(0, 1).reshape(-1, 3)
-    c_mean = float(nonce_set.reduced_root_dets[:, targets].T.reshape(-1).sum() / len(blochs))
-    return analysis.fidelity_optimum(blochs.sum(axis=0) / len(blochs), c_mean)[1]
-
-
 def require_recoverable(nonce_set: NonceSet) -> None:
     """Refuse a nonce set whose overlap deviation is not below ``TOL``."""
     deviation = analysis.overlap_deviation(nonce_set)
@@ -349,11 +333,13 @@ def plan_arrays(nonce_set: NonceSet, policy: str,
     """The ``alpha`` and ``unitaries`` of ``synthesize_plan``, unwrapped and
     with no recoverability check; a fixed target takes one steering unitary per nonce."""
     targets = [SECRETS.index(policy_target(policy, s)) for s in SECRETS]
-    if alpha is None:
-        alpha = canonical_purification(_optimizer_state(nonce_set, targets))
-    else:
-        alpha = validate_state(alpha, dim=4, what="alpha")
     distinct = targets if policy == POLICY_TARGET_SECRET else targets[:1]
+    if alpha is not None:
+        alpha = validate_state(alpha, dim=4, what="alpha")
+    elif policy == POLICY_TARGET_SECRET:
+        alpha = _MIXED_PURIFICATION
+    else:
+        alpha = canonical_purification(analysis.r_of_s(nonce_set, SECRETS[targets[0]])[1])
     v, _ = max_overlap_unitary(alpha, nonce_set.share_stack[:, distinct])
     return alpha, v.repeat(4 // len(distinct), axis=1)
 
@@ -362,10 +348,10 @@ def synthesize_plan(nonce_set: NonceSet, policy: str,
                     alpha: np.ndarray | None = None) -> AttackPlan:
     """Construct the fidelity-optimal intercept-fake-resend plan.
 
-    Refuses non-recoverable nonce sets.  The committed state is the
-    canonical purification of the optimal single-qubit fake share, unless
-    an explicit ``alpha`` (any normalized two-qubit state) is forced; each
-    steering unitary is Uhlmann-optimal toward the policy's target share.
+    Refuses non-recoverable nonce sets.  ``alpha`` (any normalized two-qubit
+    state) defaults to the canonical purification of R(t)'s optimizer for
+    ``target-<t>``, of I/2 (the mean reduced share) for ``target-secret``;
+    each steering unitary is Uhlmann-optimal toward the policy's target share.
     """
     require_recoverable(nonce_set)
     return AttackPlan(*plan_arrays(nonce_set, policy, alpha), policy)

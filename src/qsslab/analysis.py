@@ -9,10 +9,15 @@ mixed).  R(s) is the largest average fidelity any single-qubit fake share
 can achieve against Bob's true reduced shares; it upper-bounds the
 probability that an intercept-fake-resend attack forces s to be recovered,
 and for every s the fixed-target plan of policy ``target-<s>`` attains it,
-via Uhlmann's theorem (see ``adversary.synthesize_plan``).  The detection
-floor and ceiling are closed forms over those plans' steered states.
+via Uhlmann's theorem (see ``adversary.synthesize_plan``).  Operator
+deviations are reported in entrywise max-norm.
 
-Operator deviations are reported in entrywise max-norm.
+target-secret detects with probability (1 - p)/2 (1 - C) at SECRET prior p.
+C is the mean over nonces 1/2 sum_s e^{i phi_s}|s> of C_i = |cos(Delta_i/2)|,
+Delta_i = phi_00 + phi_11 - phi_01 - phi_10, the concurrence 2|det M| of each
+share.  (1) The plan's alpha is I/2's purification, A = I/sqrt(2); (2) so
+steering reaches fidelity 1/2 + |det M| = (1 + C_i)/2; (3) Eve learns s, so
+only DETECT rounds are flagged, with probability 1 - (1 + C_i)/2.
 """
 from __future__ import annotations
 
@@ -28,7 +33,6 @@ from .linalg import (
     density_from_bloch,
     fidelity_terms,
     partial_trace_E,  # noqa: F401 -- benchmarks/traced.py wraps analysis.partial_trace_E
-    pure_density,
     validate_state,
 )
 from .nonces import (
@@ -136,24 +140,24 @@ def check_recoverability(nonce_set: NonceSet, secrets=None) -> RecoverabilityRep
 # ---------------------------------------------------------------------------
 # Secrecy and intercept-measure-resend protection
 
-def _max_norm(delta: np.ndarray) -> np.ndarray:
-    return np.abs(delta).max(axis=(-2, -1))
+def _populations(nonce_set: NonceSet) -> np.ndarray:  # |<b|psi_i>|^2, shape (k, 4)
+    return np.square(nonce_set.states.real) + np.square(nonce_set.states.imag)
 
 
 def check_secrecy(nonce_set: NonceSet) -> dict:
     """Max-norm deviation of (1/4) sum_s |psi_{i,s}><psi_{i,s}| from I/4, per nonce.
 
-    Keys are 1-based nonce indices.
+    U_s negates amplitude s, so entry (a, b != a) of U_s|psi><psi|U_s changes
+    sign for the two s in {a, b} and the four cancel: the average is
+    diag(|<b|psi>|^2) for any psi.  Keys are 1-based nonce indices.
     """
-    avg = pure_density(nonce_set.share_stack).sum(axis=1) / 4.0
-    devs = _max_norm(avg - np.eye(4, dtype=complex) / 4.0)
+    devs = np.abs(_populations(nonce_set) - 0.25).max(axis=1)
     return {i + 1: float(dev) for i, dev in enumerate(devs)}
 
 
 def check_imr(nonce_set: NonceSet) -> float:
-    """Max-norm deviation of the grand share average from I/4."""
-    avg = pure_density(nonce_set.share_stack).reshape(-1, 4, 4).sum(axis=0) / (4.0 * len(nonce_set))
-    return float(_max_norm(avg - np.eye(4, dtype=complex) / 4.0))
+    """Max-norm deviation of the grand share average from I/4 (see ``check_secrecy``)."""
+    return float(np.abs(_populations(nonce_set).sum(axis=0) / len(nonce_set) - 0.25).max())
 
 
 # ---------------------------------------------------------------------------

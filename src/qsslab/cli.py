@@ -35,9 +35,9 @@ EXIT_OK = 0
 EXIT_CERTIFICATION = 1
 EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
-# The version of the numerical methods behind output values, bumped by a change
-# that moves output bits.  1: steering by SVD; 2: by the closed-form polar factor.
-NUMERICS = 2
+# The version of the numerical methods behind output values, bumped by a change that moves
+# bits.  1: SVD steering; 2: polar factor; 3: alpha from R(t) or I/2, populations for secrecy/IMR.
+NUMERICS = 3
 
 
 _EXPECTED = {int: "an integer", float: "a number"}

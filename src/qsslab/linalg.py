@@ -189,21 +189,17 @@ def canonical_purification(rho_b) -> np.ndarray:
 
     Uses the canonical form whose 2x2 coefficient matrix (row = Eve index,
     column = Bob index) is sqrt(rho_b) transposed, so that tracing out Eve
-    recovers rho_b exactly.  I/2's (any target-secret plan's) is kept once built.
+    recovers rho_b exactly.
     """
     rho_b = np.asarray(rho_b, dtype=complex)
     if rho_b.shape != (2, 2):
         raise ValidationError("canonical_purification expects a 2x2 density matrix")
-    if (psi := _PURIFIED.get(rho_b.tobytes())) is None:
-        psi = sqrtm_psd(rho_b).T.reshape(-1)
-        psi = psi / np.linalg.norm(psi)
-        if rho_b.tobytes() in _PURIFIED:
-            _PURIFIED[rho_b.tobytes()] = psi
-    return psi.copy()
+    psi = sqrtm_psd(rho_b).T.reshape(-1)
+    return psi / np.linalg.norm(psi)
 
 
-_MIXED = density_from_bloch(np.zeros(3))  # I/2; purified on first use, not at import
-_PURIFIED = {_MIXED.tobytes(): None}
+_MIXED = density_from_bloch(np.zeros(3))  # I/2
+_MIXED_PURIFICATION = np.broadcast_to(canonical_purification(_MIXED), (4,))  # read-only Bell state
 
 
 def max_overlap_unitary(alpha, target):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .jsonio import complex_from_json, complex_to_json, load_json
-from .linalg import fidelity_terms, partial_trace_E, pure_density, tensor, validate_state
+from .linalg import partial_trace_E, pure_density, tensor, validate_state
 
 SECRETS = ("00", "01", "10", "11")
 
@@ -83,11 +83,9 @@ class NonceSet:
     a read-only (k, 4) array.  Built with it, read-only too, and indexed
     ``[i, n]`` for nonce i and s = SECRETS[n]: the reflections U_psi_i
     (k, 4, 4; by nonce only), the share states U_s|psi_i> ``share_stack``
-    (k, 4, 4), Bob's reduced shares (Eve's qubit traced out)
-    ``reduced_share_stack`` (k, 4, 2, 2) with their ``linalg.fidelity_terms``
-    ``reduced_blochs`` (k, 4, 3) and ``reduced_root_dets`` (k, 4), and
-    ``recovery_stack`` (k, 4, 4), whose ``[i, n, b]`` is the recovery
-    probability |<b| U_psi_i U_s |psi_i>|^2 of outcome b = SECRETS[b].
+    (k, 4, 4), Bob's reduced shares (Eve's qubit traced out) ``reduced_share_stack``
+    (k, 4, 2, 2), and ``recovery_stack`` (k, 4, 4), whose ``[i, n, b]`` is the
+    recovery probability |<b| U_psi_i U_s |psi_i>|^2 of outcome b = SECRETS[b].
     ``copy`` and ``pickle`` keep the arrays as they are, without validating
     again.
     """
@@ -97,8 +95,6 @@ class NonceSet:
     reflections: np.ndarray = field(init=False, repr=False)
     share_stack: np.ndarray = field(init=False, repr=False)
     reduced_share_stack: np.ndarray = field(init=False, repr=False)
-    reduced_blochs: np.ndarray = field(init=False, repr=False)
-    reduced_root_dets: np.ndarray = field(init=False, repr=False)
     recovery_stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -113,11 +109,9 @@ class NonceSet:
         # One matrix-vector product per (nonce, secret), so each secret's
         # slice equals a (k, 4, 4) @ (k, 4, 1) product bit for bit.
         recovery = np.abs(reflections[:, None] @ shares[..., None])[..., 0] ** 2
-        reduced = partial_trace_E(pure_density(shares))
-        blochs, root_dets = fidelity_terms(reduced)
         set_frozen(self, states=states, reflections=reflections, share_stack=shares,
-                   reduced_share_stack=reduced, reduced_blochs=blochs,
-                   reduced_root_dets=root_dets, recovery_stack=recovery)
+                   reduced_share_stack=partial_trace_E(pure_density(shares)),
+                   recovery_stack=recovery)
 
     def __setstate__(self, state):
         # Copies and unpickled sets keep the validated arrays bit for bit.

@@ -8,9 +8,11 @@ formulas and searches the package's array code is checked against.
 witnesses of the recovery law and of the universal detection ceiling.
 ``stacked_bloch``, ``pauli_sum_density``, ``mean_objective_coeffs`` and
 ``plain_purification`` keep the plain forms of helpers the package writes
-leaner; the package must equal them byte for byte.  ``certification_json``
-and ``transcript_json`` spell out the report and transcript file formats
-field by field.  ``phase_states`` and ``phase_set`` build the seeded
+leaner; the package must equal them byte for byte.  ``density_secrecy``
+and ``density_imr`` are the share-density definitions of the secrecy and
+IMR deviations, which the package computes from amplitude populations.
+``certification_json`` and ``transcript_json`` spell out the report and
+transcript file formats field by field.  ``phase_states`` and ``phase_set`` build the seeded
 1/2 e^{i phi} nonce sets the tests draw.
 """
 import numpy as np
@@ -19,7 +21,7 @@ from qsslab.adversary import AttackPlan
 from qsslab.errors import ValidationError
 from qsslab.jsonio import complex_to_json
 from qsslab.linalg import (PAULI_X, PAULI_Y, PAULI_Z, TOL, bloch_from_density, density_from_bloch,
-                           fidelity, is_pure, sqrtm_psd, state_fidelity)
+                           fidelity, is_pure, pure_density, sqrtm_psd, state_fidelity)
 from qsslab.nonces import NonceSet, SECRETS, share_state, validate_secret
 
 
@@ -166,6 +168,20 @@ def plain_purification(rho_b) -> np.ndarray:
     """``linalg.canonical_purification`` computed on every call."""
     psi = sqrtm_psd(rho_b).T.reshape(-1)
     return psi / np.linalg.norm(psi)
+
+
+def density_secrecy(nonce_set: NonceSet) -> dict:
+    """Max-norm deviation of (1/4) sum_s |psi_{i,s}><psi_{i,s}| from I/4 per
+    nonce, by 1-based index, from the (k, 4, 4, 4) share densities."""
+    avg = pure_density(nonce_set.share_stack).sum(axis=1) / 4.0
+    devs = np.abs(avg - np.eye(4) / 4.0).max(axis=(-2, -1))
+    return {i + 1: float(dev) for i, dev in enumerate(devs)}
+
+
+def density_imr(nonce_set: NonceSet) -> float:
+    """Max-norm deviation of the share densities' grand average from I/4."""
+    avg = pure_density(nonce_set.share_stack).reshape(-1, 4, 4).sum(axis=0) / (4.0 * len(nonce_set))
+    return float(np.abs(avg - np.eye(4) / 4.0).max())
 
 
 def _pure_blochs(states) -> np.ndarray:

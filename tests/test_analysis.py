@@ -36,6 +36,8 @@ from qsslab.nonces import (
 from oracles import (
     bloch_mean_bound,
     bloch_mean_distance_bound,
+    density_imr,
+    density_secrecy,
     grid_max_average_fidelity,
     haar_state,
     phase_set,
@@ -151,6 +153,23 @@ class TestSecrecyAndImr:
 
     def test_imr_basis_set_fails(self):
         assert check_imr(BASIS_00_SET) > 0.1
+
+    def test_populations_equal_the_share_density_definition(self):
+        rng = np.random.default_rng(212)
+        sets = [builtin_nonce_set(name) for name in ("hsu-I", "proposed-J")]
+        sets += [NonceSet(name=f"haar-{k}", states=tuple(haar_state(4, rng) for _ in range(k)))
+                 for k in (1, 2, 5, 16, 33)]
+        sets += [phase_set(rng.uniform(0, 2 * np.pi, (k, 4)), f"phase-{k}") for k in (1, 3, 8, 16, 64)]
+        for ns in sets:
+            got, want = check_secrecy(ns), density_secrecy(ns)
+            assert got.keys() == want.keys(), ns.name
+            assert max(abs(got[i] - want[i]) for i in got) <= 1e-15, ns.name
+            assert abs(check_imr(ns) - density_imr(ns)) <= 1e-15, ns.name
+        assert max(check_secrecy(sets[2]).values()) > 0.1  # a Haar set is not secret
+
+    def test_builtins_read_exactly_zero(self, hsu_set, proposed_set):
+        for ns in (hsu_set, proposed_set):
+            assert set(check_secrecy(ns).values()) == {0.0} and check_imr(ns) == 0.0, ns.name
 
     def test_secrecy_implies_imr(self, rng):
         # whenever the per-nonce average is I/4 for every nonce, the grand

@@ -2,8 +2,9 @@
 byte for byte (``tobytes``, so signed zeros count).
 
 The Bloch helpers write into one array and reuse a read-only identity;
-the R(s) and committed-state means divide a sum by the stack's length; the
-tie-case optimum I/2 and its purification are built once and copied.
+the R(s) means divide a sum by the stack's length; the tie-case optimum
+I/2 is built once and copied, and its purification is the read-only
+state every target-secret plan commits to.
 """
 import itertools
 
@@ -12,9 +13,9 @@ import pytest
 
 from qsslab import adversary, analysis
 from qsslab.errors import ValidationError
-from qsslab.linalg import (bloch_from_density, canonical_purification, density_from_bloch,
-                           fidelity_terms, pure_density)
-from qsslab.nonces import SECRETS, NonceSet, builtin_nonce_set
+from qsslab.linalg import (_MIXED_PURIFICATION, TOL, bloch_from_density, canonical_purification,
+                           density_from_bloch, fidelity_terms, pure_density)
+from qsslab.nonces import NonceSet, builtin_nonce_set
 from oracles import (haar_state, mean_objective_coeffs, pauli_sum_density, phase_set,
                      plain_purification, random_density, stacked_bloch)
 
@@ -110,17 +111,41 @@ def test_objective_means_byte_for_byte():
 
 
 def test_committed_states_byte_for_byte():
-    # plan_arrays commits to the purified optimum of the means, target-major.
+    # A fixed-target plan commits to R(t)'s purified optimum, target-secret
+    # to I/2's purification, built once.
     sets = [builtin_nonce_set(name) for name in BUILTINS]
     sets += [_phase_set(k, k) for k in (1, 3, 4, 7, 13, 64)]
     for ns in sets:
         for policy in adversary.POLICIES:
-            targets = [SECRETS.index(adversary.policy_target(policy, s)) for s in SECRETS]
-            blochs = ns.reduced_blochs[:, targets].swapaxes(0, 1).reshape(-1, 3)
-            root_dets = ns.reduced_root_dets[:, targets].T.reshape(-1)
-            rho = analysis.fidelity_optimum(*mean_objective_coeffs(blochs, root_dets))[1]
             alpha, _ = adversary.plan_arrays(ns, policy)
-            assert _bytes_equal(alpha, plain_purification(rho)), (ns.name, policy)
+            if policy == adversary.POLICY_TARGET_SECRET:
+                want = _MIXED_PURIFICATION
+            else:
+                want = plain_purification(analysis.r_of_s(ns, policy.removeprefix("target-"))[1])
+            assert _bytes_equal(alpha, want), (ns.name, policy)
+    assert _bytes_equal(_MIXED_PURIFICATION, plain_purification(pauli_sum_density(np.zeros(3))))
+    assert not _MIXED_PURIFICATION.flags.writeable
+
+
+def _near_proposed(eps: float) -> NonceSet:
+    """proposed-J with moduli |psi| + eps (1, -1, 1, -1), phases kept, renormalized."""
+    psi = builtin_nonce_set("proposed-J").states
+    states = (np.abs(psi) + eps * np.array([1, -1, 1, -1])) * np.exp(1j * np.angle(psi))
+    return NonceSet(name="near-proposed-J",
+                    states=tuple(states / np.linalg.norm(states, axis=1, keepdims=True)))
+
+
+def test_target_secret_keeps_a_quarter_at_the_tolerance_edge():
+    # The overlap deviation, 6e-10, is below TOL, so the set is recoverable,
+    # but the mean of its reduced shares is I/2 plus a Bloch vector longer
+    # than TOL: a maximizer of that mean is a pure state along the noise.
+    ns = _near_proposed(6e-10)
+    assert 5e-10 < analysis.overlap_deviation(ns) < TOL
+    alpha, _ = adversary.plan_arrays(ns, adversary.POLICY_TARGET_SECRET)
+    assert _bytes_equal(alpha, _MIXED_PURIFICATION)
+    bounds = analysis.detection_bounds(ns)
+    assert abs(bounds["per_policy"][adversary.POLICY_TARGET_SECRET] - 0.25) <= 1e-12
+    assert abs(bounds["floor"] - 0.25) <= 1e-12
 
 
 def test_tie_case_tables_are_copied():
