@@ -144,8 +144,10 @@ class ImrGuessStrategy:
 
 
 def steer(alpha: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
-    """(V x I)|alpha> for each V of a (K, 4, 2, 2) stack: shape (K, 4, 4)."""
-    return (unitaries @ alpha.reshape(2, 2)).reshape(-1, 4, 4)
+    """(V x I)|alpha> for each V of a (K, 4, 2, 2) stack: shape (K, 4, 4).  That is
+    V A for alpha's 2x2 A (row = Eve index), written out as V's columns times A's rows."""
+    a = alpha.reshape(2, 2)
+    return (unitaries[..., :1] * a[0] + unitaries[..., 1:] * a[1]).reshape(-1, 4, 4)
 
 
 @dataclass(frozen=True, eq=False)

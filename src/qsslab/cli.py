@@ -36,8 +36,12 @@ EXIT_CERTIFICATION = 1
 EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
 # The version of the numerical methods behind output values, bumped by a change that moves
-# bits.  1: SVD steering; 2: polar factor; 3: alpha from R(t) or I/2, populations for secrecy/IMR.
-NUMERICS = 3
+# bits.  1: SVD steering; 2: polar factor; 3: alpha from R(t) or I/2, populations for secrecy/IMR;
+# 4: the 2x2 determinant, square root and steered product in closed form, not by LAPACK or BLAS.
+NUMERICS = 4
+# The version of the random-number contract: round r of a run draws from a generator seeded
+# with [seed, r], in the order the round engine reads it.
+RNG_CONTRACT = 1
 
 
 _EXPECTED = {int: "an integer", float: "a number"}
@@ -108,6 +112,7 @@ def build_manifest(command: str, nonce_source: str, seed: int,
         "mode_prior": mode_prior,
         "tool_version": __version__,
         "numerics": NUMERICS,
+        "rng_contract": RNG_CONTRACT,
         "timestamp": _timestamp(),
     }
 

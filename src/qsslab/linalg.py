@@ -4,7 +4,8 @@ Everything here works on plain numpy arrays: state vectors are 1-D complex
 arrays of length 2 or 4 (two-qubit basis order 00, 01, 10, 11 with the
 first tensor factor held by Eve), density matrices and unitaries are 2-D
 complex arrays.  All operations are pure functions; inputs are never
-mutated.  Steering (``max_overlap_unitary``) is a closed-form polar factor.
+mutated.  Steering (``max_overlap_unitary``) is a closed-form polar factor,
+and the qubit determinant and square root are written out too.
 
 Tolerance: TOL (1e-9) for algebraic identities that hold exactly at these
 dimensions; INPUT_TOL (1e-6) for the checks on given states and unitaries.
@@ -106,13 +107,24 @@ def is_pure(rho):
     return np.abs(np.einsum("...ab,...ba->...", rho, rho).real - 1.0) <= TOL
 
 
+def _det(rho):
+    """det of a Hermitian 2x2 matrix, or of each in a stack, written out:
+    rho00 rho11 - |rho01|^2 from the real diagonal and re^2 + im^2."""
+    r01 = rho[..., 0, 1]
+    return rho[..., 0, 0].real * rho[..., 1, 1].real - (np.square(r01.real) + np.square(r01.imag))
+
+
+def _root_det(rho):
+    """sqrt(det) of a qubit density matrix or a stack; exactly 0 where
+    ``is_pure`` holds, not its float noise (about 3e-9)."""
+    return np.sqrt(np.where(is_pure(rho), 0.0, np.maximum(_det(rho), 0.0)))
+
+
 def fidelity_terms(sigmas) -> tuple[np.ndarray, np.ndarray]:
     """Bloch vectors and sqrt(det) of a stack of qubit density matrices, the
-    per-matrix terms of their average fidelity; sqrt(det) is exactly 0 where
-    ``is_pure`` holds, not its float noise (about 3e-9)."""
+    per-matrix terms of their average fidelity; sqrt(det) as ``_root_det``."""
     sigmas = np.asarray(sigmas, dtype=complex)
-    dets = np.where(is_pure(sigmas), 0.0, np.maximum(np.linalg.det(sigmas).real, 0.0))
-    return bloch_from_density(sigmas), np.sqrt(dets)
+    return bloch_from_density(sigmas), _root_det(sigmas)
 
 
 def state_fidelity(a, b) -> float:
@@ -139,7 +151,7 @@ def fidelity(rho, sigma) -> float:
         if is_pure(rho) or is_pure(sigma):
             cross = 0.0
         else:
-            cross = np.linalg.det(rho).real * np.linalg.det(sigma).real
+            cross = _det(rho) * _det(sigma)
         val = np.trace(rho @ sigma).real + 2.0 * np.sqrt(max(cross, 0.0))
         return float(min(max(val, 0.0), 1.0))
     if rho.shape != (4, 4):
@@ -178,28 +190,30 @@ def density_from_bloch(v) -> np.ndarray:
     return 0.5 * (_EYE2 + v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z)
 
 
-def sqrtm_psd(rho) -> np.ndarray:
-    """Matrix square root of a Hermitian PSD matrix via eigendecomposition."""
-    vals, vecs = np.linalg.eigh(np.asarray(rho, dtype=complex))
-    return vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
-
-
 def canonical_purification(rho_b) -> np.ndarray:
     """Two-qubit purification of a single-qubit state, Eve's qubit first.
 
     Uses the canonical form whose 2x2 coefficient matrix (row = Eve index,
     column = Bob index) is sqrt(rho_b) transposed, so that tracing out Eve
-    recovers rho_b exactly.
+    recovers rho_b exactly.  For a 2x2 density matrix, by Cayley-Hamilton,
+
+        sqrt(rho) = (rho + sqrt(det rho) I) / sqrt(Tr rho + 2 sqrt(det rho)),
+
+    and the scalar is the Frobenius norm of the numerator, so the state is
+    the numerator normalized.  sqrt(det) is ``_root_det``'s, so a pure rho_b
+    gives exactly its rank-1 purification rho_b^T / ||rho_b||.
     """
     rho_b = np.asarray(rho_b, dtype=complex)
     if rho_b.shape != (2, 2):
         raise ValidationError("canonical_purification expects a 2x2 density matrix")
-    psi = sqrtm_psd(rho_b).T.reshape(-1)
+    psi = (rho_b + _root_det(rho_b) * _EYE2).T.reshape(-1)
     return psi / np.linalg.norm(psi)
 
 
 _MIXED = density_from_bloch(np.zeros(3))  # I/2
-_MIXED_PURIFICATION = np.broadcast_to(canonical_purification(_MIXED), (4,))  # read-only Bell state
+# The read-only Bell state, normalized as AttackPlan normalizes alpha, so that a
+# target-secret plan is steered from the very alpha it stores.
+_MIXED_PURIFICATION = np.broadcast_to(validate_state(canonical_purification(_MIXED)), (4,))
 
 
 def max_overlap_unitary(alpha, target):

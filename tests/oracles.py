@@ -1,14 +1,15 @@
 """Test-only helpers: random inputs, reference formulas and witnesses.
 
 The random draws feed seeded tests; ``bob_marginal``,
-``average_recovery``, ``grid_max_average_fidelity`` and the LAPACK SVD
-steering ``svd_overlap_unitary`` (over ``svd_2x2``) are independent
+``average_recovery``, ``grid_max_average_fidelity``, the LAPACK SVD
+steering ``svd_overlap_unitary`` (over ``svd_2x2``) and the eigh
+purification ``eigh_purification`` (over ``sqrtm_psd``) are independent
 formulas and searches the package's array code is checked against.
 ``recovery_amplitude`` and the two Bloch-mean bounds are the closed-form
 witnesses of the recovery law and of the universal detection ceiling.
-``stacked_bloch``, ``pauli_sum_density``, ``mean_objective_coeffs`` and
-``plain_purification`` keep the plain forms of helpers the package writes
-leaner; the package must equal them byte for byte.  ``density_secrecy``
+``stacked_bloch``, ``pauli_sum_density`` and ``mean_objective_coeffs``
+keep the plain forms of helpers the package writes leaner; the package
+must equal them byte for byte.  ``density_secrecy``
 and ``density_imr`` are the share-density definitions of the secrecy and
 IMR deviations, which the package computes from amplitude populations.
 ``certification_json`` and ``transcript_json`` spell out the report and
@@ -21,7 +22,7 @@ from qsslab.adversary import AttackPlan
 from qsslab.errors import ValidationError
 from qsslab.jsonio import complex_to_json
 from qsslab.linalg import (PAULI_X, PAULI_Y, PAULI_Z, TOL, bloch_from_density, density_from_bloch,
-                           fidelity, is_pure, pure_density, sqrtm_psd, state_fidelity)
+                           fidelity, is_pure, pure_density, state_fidelity)
 from qsslab.nonces import NonceSet, SECRETS, share_state, validate_secret
 
 
@@ -164,8 +165,15 @@ def mean_objective_coeffs(blochs, root_dets) -> tuple[np.ndarray, float]:
     return np.mean(blochs, axis=0), float(np.mean(root_dets))
 
 
-def plain_purification(rho_b) -> np.ndarray:
-    """``linalg.canonical_purification`` computed on every call."""
+def sqrtm_psd(rho) -> np.ndarray:
+    """Matrix square root of a Hermitian PSD matrix via eigendecomposition."""
+    vals, vecs = np.linalg.eigh(np.asarray(rho, dtype=complex))
+    return vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
+
+
+def eigh_purification(rho_b) -> np.ndarray:
+    """``linalg.canonical_purification`` through ``sqrtm_psd``, as numerics 3
+    computed it; a pure rho_b's purification is off by up to about 1e-8."""
     psi = sqrtm_psd(rho_b).T.reshape(-1)
     return psi / np.linalg.norm(psi)
 

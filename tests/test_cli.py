@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsslab.adversary import honest_strategy, ifr_strategy, imr_guess_strategy, load_plan
-from qsslab.cli import main
+from qsslab.cli import NUMERICS, main
 from qsslab.nonces import builtin_nonce_set
 from qsslab.protocol import RoundConfig, estimate_detection, outcome_distribution
 
@@ -290,6 +290,17 @@ class TestManifest:
         assert manifest["seed"] == 2
         assert manifest["tool_version"]
         assert manifest["timestamp"] == "2023-11-14T22:13:20Z"
+
+    def test_every_manifest_names_its_contracts(self, tmp_path):
+        # Certification, Monte Carlo and exact-table files all carry the
+        # numerics version and the random-number contract.
+        outs = {"cert.json": ["certify", "--nonces", "builtin:proposed-J"],
+                "mc.json": _SIM + ["--rounds", "10"],
+                "exact.json": _SIM + ["--exact"]}
+        for name, argv in outs.items():
+            assert run(argv + ["--out", str(tmp_path / name)]) == 0, name
+            manifest = json.loads((tmp_path / name).read_text())["manifest"]
+            assert (manifest["numerics"], manifest["rng_contract"]) == (NUMERICS, 1), name
 
 
 _SIM = ["simulate", "--nonces", "builtin:proposed-J", "--strategy", "honest"]

@@ -113,8 +113,10 @@ def test_fixed_target_plans_equal_the_full_stack_svd():
                 plan = synthesize_plan(ns, policy, alpha=alpha)
                 where = f"{ns.name} k={len(ns)} {policy} forced={alpha is not None}"
                 assert plan.unitaries.tobytes() == want.tobytes(), where
-                steered = (want @ plan.alpha.reshape(2, 2)).reshape(-1, 4, 4)
-                assert plan.steered.tobytes() == steered.tobytes(), where
+                # V A written out as V's columns times A's rows, elementwise.
+                a = plan.alpha.reshape(2, 2)
+                steered = (want[..., :, 0, None] * a[0] + want[..., :, 1, None] * a[1])
+                assert plan.steered.tobytes() == steered.reshape(-1, 4, 4).tobytes(), where
 
 
 @pytest.mark.parametrize("k", [1, 3, 16])

@@ -3,7 +3,7 @@ byte for byte (``tobytes``, so signed zeros count).
 
 The Bloch helpers write into one array and reuse a read-only identity;
 the R(s) means divide a sum by the stack's length; the tie-case optimum
-I/2 is built once and copied, and its purification is the read-only
+I/2 is built once and copied, and its purification is the read-only Bell
 state every target-secret plan commits to.
 """
 import itertools
@@ -14,12 +14,14 @@ import pytest
 from qsslab import adversary, analysis
 from qsslab.errors import ValidationError
 from qsslab.linalg import (_MIXED_PURIFICATION, TOL, bloch_from_density, canonical_purification,
-                           density_from_bloch, fidelity_terms, pure_density)
+                           density_from_bloch, fidelity_terms, pure_density, validate_state)
 from qsslab.nonces import NonceSet, builtin_nonce_set
 from oracles import (haar_state, mean_objective_coeffs, pauli_sum_density, phase_set,
-                     plain_purification, random_density, stacked_bloch)
+                     random_density, stacked_bloch)
 
 BUILTINS = ("hsu-I", "proposed-J")
+# (|00> + |11>)/sqrt(2) with 1/sqrt(2) correctly rounded, as validate_state leaves it.
+_BELL = np.array([1, 0, 0, 1], dtype=complex) * float.fromhex("0x1.6a09e667f3bcdp-1")
 
 
 def _phase_set(k: int, seed: int) -> NonceSet:
@@ -112,7 +114,7 @@ def test_objective_means_byte_for_byte():
 
 def test_committed_states_byte_for_byte():
     # A fixed-target plan commits to R(t)'s purified optimum, target-secret
-    # to I/2's purification, built once.
+    # to I/2's purification, built once and normalized as a plan stores alpha.
     sets = [builtin_nonce_set(name) for name in BUILTINS]
     sets += [_phase_set(k, k) for k in (1, 3, 4, 7, 13, 64)]
     for ns in sets:
@@ -121,9 +123,11 @@ def test_committed_states_byte_for_byte():
             if policy == adversary.POLICY_TARGET_SECRET:
                 want = _MIXED_PURIFICATION
             else:
-                want = plain_purification(analysis.r_of_s(ns, policy.removeprefix("target-"))[1])
+                want = canonical_purification(analysis.r_of_s(ns, policy.removeprefix("target-"))[1])
             assert _bytes_equal(alpha, want), (ns.name, policy)
-    assert _bytes_equal(_MIXED_PURIFICATION, plain_purification(pauli_sum_density(np.zeros(3))))
+    assert _bytes_equal(_MIXED_PURIFICATION, _BELL)
+    assert _bytes_equal(validate_state(_MIXED_PURIFICATION), _BELL)
+    assert _bytes_equal(validate_state(canonical_purification(pauli_sum_density(np.zeros(3)))), _BELL)
     assert not _MIXED_PURIFICATION.flags.writeable
 
 
@@ -156,7 +160,8 @@ def test_tie_case_tables_are_copied():
     first[:] = 7.0
     assert _bytes_equal(analysis.r_of_s(proposed, "00")[1], pauli_sum_density(np.zeros(3)))
     mixed = density_from_bloch(np.zeros(3))
+    want = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)  # (I/2 + I/2)^T, normalized
     psi = canonical_purification(mixed)
-    assert _bytes_equal(psi, plain_purification(mixed)) and psi.flags.writeable
+    assert _bytes_equal(psi, want) and psi.flags.writeable
     psi[:] = 7.0
-    assert _bytes_equal(canonical_purification(mixed), plain_purification(mixed))
+    assert _bytes_equal(canonical_purification(mixed), want)
