@@ -3,9 +3,14 @@
 The session is the README's command-line walk-through on both builtin
 nonce sets: ``certify``, ``attack`` with both policies, ``simulate
 --exact`` for every strategy, a 200-round ``simulate --transcripts`` run
-per set, ``report`` over the results, and one refused command.  Each runs
-in-process through ``qsslab.cli.main`` in a fresh directory, under
-``SOURCE_DATE_EPOCH=1700000000`` and without ``QSSLAB_SEED``.
+per set, ``report`` over the results, and one refused command.  Then
+``certify`` on the two committed sets in ``inputs/``: ``phase-8.json``,
+eight 1/2 e^{i phi} nonces with phases drawn from ``default_rng(8)``, a
+grid-path R(s) set; and ``near.json``, whose overlap deviation is above the
+recoverability threshold, so it fails and exits 1.  Each command runs
+in-process through ``qsslab.cli.main`` in a fresh directory holding copies
+of the inputs, under ``SOURCE_DATE_EPOCH=1700000000`` and without
+``QSSLAB_SEED``.
 
 The output files go to ``session/``, the transcripts gzipped (with no
 timestamp, so their bytes depend on the content and zlib alone);
@@ -31,6 +36,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 SESSION_DIR = HERE / "session"
 SESSION_FILE = HERE / "session.json"
+INPUTS_DIR = HERE / "inputs"
 EPOCH = "1700000000"
 
 _BUILTINS = {"hsu": "hsu-I", "j": "proposed-J"}
@@ -58,19 +64,28 @@ def commands() -> list:
         for kind, short in (("mc", ""), ("exact", "-imr2"), ("exact", "-ifr-01"))]
     argvs.append(["report", "--inputs", *reports, "--out", "summary"])
     argvs.append(["simulate", "--nonces", "builtin:nope", "--strategy", "honest", "--exact"])
+    for name in ("phase-8", "near"):
+        argvs.append(["certify", "--nonces", f"{name}.json", "--out", f"cert-{name}.json"])
     return argvs
 
 
+def _inputs() -> list:
+    return sorted(INPUTS_DIR.iterdir())
+
+
 def read_golden(name: str) -> bytes:
-    """The golden bytes of the session's output file ``name``."""
+    """The golden bytes of the session's file ``name``, an input or an output."""
+    if (INPUTS_DIR / name).is_file():
+        return (INPUTS_DIR / name).read_bytes()
     if name.endswith(".jsonl"):
         return gzip.decompress((SESSION_DIR / f"{name}.gz").read_bytes())
     return (SESSION_DIR / name).read_bytes()
 
 
 def golden_names() -> list:
-    """The session's output file names, as the commands wrote them."""
-    return sorted(p.name.removesuffix(".gz") for p in SESSION_DIR.iterdir())
+    """The names of the session's files, its inputs and what the commands wrote."""
+    return sorted([p.name.removesuffix(".gz") for p in SESSION_DIR.iterdir()]
+                  + [p.name for p in _inputs()])
 
 
 def numpy_platform() -> dict:
@@ -91,6 +106,8 @@ def run_session(workdir: Path) -> list:
     saved_cwd = os.getcwd()
     os.environ["SOURCE_DATE_EPOCH"] = EPOCH
     os.environ.pop("QSSLAB_SEED", None)
+    for path in _inputs():
+        shutil.copyfile(path, workdir / path.name)
     os.chdir(workdir)
     records = []
     try:
@@ -119,7 +136,10 @@ def main() -> None:
         records = run_session(Path(tmp))
         shutil.rmtree(SESSION_DIR, ignore_errors=True)
         SESSION_DIR.mkdir()
+        inputs = {p.name for p in _inputs()}
         for path in sorted(Path(tmp).iterdir()):
+            if path.name in inputs:
+                continue
             if path.suffix == ".jsonl":
                 with gzip.GzipFile(SESSION_DIR / f"{path.name}.gz", "wb", mtime=0) as fh:
                     fh.write(path.read_bytes())
