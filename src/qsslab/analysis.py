@@ -63,10 +63,19 @@ class PairOverlap:
 
 @dataclass
 class RecoverabilityReport:
-    pairs: list
+    labels: tuple
+    overlaps: list                  # |<s|psi_i>|, one row of k per label
+    recovery_probabilities: list    # |<s| U_psi_i U_s |psi_i>|^2, likewise
     passed: bool
     worst_overlap_deviation: float
     worst_recovery_deviation: float
+
+    @property
+    def pairs(self) -> list:
+        """One ``PairOverlap`` per (secret, nonce), built from the rows when read."""
+        rows = zip(self.labels, self.overlaps, self.recovery_probabilities)
+        return [PairOverlap(i + 1, label, overlap, prob) for label, row_o, row_p in rows
+                for i, (overlap, prob) in enumerate(zip(row_o, row_p))]
 
 
 def _labelled_secrets(secrets) -> tuple[tuple, np.ndarray, np.ndarray]:
@@ -113,28 +122,18 @@ def check_recoverability(nonce_set: NonceSet, secrets=None) -> RecoverabilityRep
     probability |<s| U_psi U_s |psi>|^2 is computed directly as well, so
     the report witnesses both sides of the equivalence.  The set passes
     when the worst overlap deviation is below ``TOL``, the threshold at
-    which ``synthesize_plan`` accepts it.
+    which ``synthesize_plan`` accepts it.  ``pairs`` is built when read.
     """
     labels, s_vecs, s_reflections = _labelled_secrets(secrets)          # s_vecs: (m, 4)
     if not labels:
         raise ValidationError("need at least one secret")
-    states = nonce_set.states                                           # (k, 4)
-    overlaps = _overlaps(s_vecs, states)                                # (m, k)
-    shares = s_reflections[:, None] @ states[:, :, None]                # (m, k, 4, 1)
-    recovered = (s_vecs.conj()[:, None, None, :] @ (nonce_set.reflections @ shares))[..., 0, 0]
+    overlaps = _overlaps(s_vecs, nonce_set.states)                      # (m, k)
+    shares = s_reflections @ nonce_set.states.T                         # (m, 4, k): U_s|psi_i>
+    recovered = np.einsum("ma,kab,mbk->mk", s_vecs.conj(), nonce_set.reflections, shares)
     probs = np.hypot(recovered.real, recovered.imag) ** 2
-    pairs = [
-        PairOverlap(i + 1, label, overlap, prob)
-        for label, row_o, row_p in zip(labels, overlaps.tolist(), probs.tolist())
-        for i, (overlap, prob) in enumerate(zip(row_o, row_p))
-    ]
-    worst_overlap = _worst_deviation(overlaps, 0.5)
-    return RecoverabilityReport(
-        pairs=pairs,
-        passed=bool(worst_overlap < TOL),
-        worst_overlap_deviation=worst_overlap,
-        worst_recovery_deviation=_worst_deviation(probs, 1.0),
-    )
+    worst = _worst_deviation(overlaps, 0.5)
+    return RecoverabilityReport(labels, overlaps.tolist(), probs.tolist(), bool(worst < TOL), worst,
+                                _worst_deviation(probs, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +162,13 @@ def check_imr(nonce_set: NonceSet) -> float:
 # ---------------------------------------------------------------------------
 # R(s): the optimal average fidelity of a single-qubit fake share
 
-def _objective_coeffs(sigmas) -> tuple[np.ndarray, float]:
+def _objective_coeffs(sigmas):
     """Average qubit fidelity against the stack ``sigmas`` at Bloch point p
-    reads 1/2 + (p . b_mean)/2 + c_mean * sqrt(1 - |p|^2), means by np.mean's sums."""
+    reads 1/2 + (p . b_mean)/2 + c_mean * sqrt(1 - |p|^2), means by np.mean's sums
+    over the leading axis: a (k, 4, 2, 2) stack gives each column's, bit for bit."""
     blochs, root_dets = fidelity_terms(sigmas)
-    return blochs.sum(axis=0) / len(blochs), float(root_dets.sum() / len(root_dets))
+    k = len(blochs)  # numpy sums a contiguous last axis pairwise, as it sums a 1-D column
+    return blochs.sum(axis=0) / k, np.ascontiguousarray(root_dets.T).sum(axis=-1).T / k
 
 
 def max_average_fidelity(sigmas) -> tuple[float, np.ndarray]:
@@ -189,14 +190,17 @@ def max_average_fidelity(sigmas) -> tuple[float, np.ndarray]:
     return fidelity_optimum(*_objective_coeffs(sigmas))
 
 
+def _optimum(b_mean: np.ndarray, c_mean: float) -> tuple[float, float]:
+    """R and the radius |p*| scales b by; 0 in the tie case, whose optimizer is I/2."""
+    radius = float(np.sqrt(b_mean @ b_mean + 4.0 * c_mean * c_mean))
+    value, center = 0.5 + 0.5 * radius, float(0.5 + c_mean)
+    return (center, 0.0) if value - center <= TOL else (value, radius)
+
+
 def fidelity_optimum(b_mean: np.ndarray, c_mean: float) -> tuple[float, np.ndarray]:
     """``max_average_fidelity`` from the objective's mean coefficients b and c."""
-    radius = float(np.sqrt(b_mean @ b_mean + 4.0 * c_mean * c_mean))
-    value = 0.5 + 0.5 * radius
-    center = float(0.5 + c_mean)
-    if value - center <= TOL:
-        return center, _MIXED.copy()
-    return value, density_from_bloch(b_mean / radius)
+    value, radius = _optimum(b_mean, c_mean)
+    return value, density_from_bloch(b_mean / radius) if radius else _MIXED.copy()
 
 
 def bob_reduced_shares(nonce_set: NonceSet, s: str) -> np.ndarray:
@@ -286,13 +290,14 @@ class CertificationReport:
 
 
 def certify(nonce_set: NonceSet) -> CertificationReport:
-    """Run every certification, each verdict at ``TOL``; detection bounds
-    only for recoverable sets, which ``synthesize_plan`` accepts."""
+    """Run every check at ``TOL``, R(s) for all four secrets in one pass, and detection
+    bounds for recoverable sets only, the sets ``synthesize_plan`` accepts."""
     recov = check_recoverability(nonce_set)
     per_nonce = check_secrecy(nonce_set)
     secrecy_dev = max(per_nonce.values())
     imr_dev = check_imr(nonce_set)
-    r_values = {s: r_of_s(nonce_set, s)[0] for s in SECRETS}
+    b_means, c_means = _objective_coeffs(nonce_set.reduced_share_stack)
+    r_values = {s: _optimum(b, c)[0] for s, b, c in zip(SECRETS, b_means, c_means)}
     bounds = detection_bounds(nonce_set) if recov.passed else None
     return CertificationReport(
         nonce_set_name=nonce_set.name,
