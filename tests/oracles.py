@@ -7,6 +7,8 @@ purification ``eigh_purification`` (over ``sqrtm_psd``) are independent
 formulas and searches the package's array code is checked against.
 ``recovery_amplitude`` and the two Bloch-mean bounds are the closed-form
 witnesses of the recovery law and of the universal detection ceiling.
+``recoverability_pairs`` is ``check_recoverability`` with one ``@`` product
+per (secret, nonce) and its pair list built at once.
 ``stacked_bloch``, ``pauli_sum_density`` and ``mean_objective_coeffs``
 keep the plain forms of helpers the package writes leaner; the package
 must equal them byte for byte.  ``density_secrecy``
@@ -19,6 +21,7 @@ transcript file formats field by field.  ``phase_states`` and ``phase_set`` buil
 import numpy as np
 
 from qsslab.adversary import AttackPlan
+from qsslab.analysis import PairOverlap, _labelled_secrets
 from qsslab.errors import ValidationError
 from qsslab.jsonio import complex_to_json
 from qsslab.linalg import (PAULI_X, PAULI_Y, PAULI_Z, TOL, bloch_from_density, density_from_bloch,
@@ -127,6 +130,24 @@ def average_recovery(plan: AttackPlan, nonce_set: NonceSet, s: str) -> float:
     for i, psi in enumerate(nonce_set.states):
         total += state_fidelity(share_state(psi, s), plan.steered[i, n])
     return total / len(nonce_set)
+
+
+def recoverability_pairs(nonce_set: NonceSet, secrets=None) -> tuple[list, bool, float]:
+    """``analysis.check_recoverability``'s pair list, verdict and worst overlap
+    deviation, each recovery amplitude <s| U_psi U_s |psi> by an (m, k) stack
+    of ``@`` products."""
+    labels, s_vecs, s_reflections = _labelled_secrets(secrets)
+    states = nonce_set.states
+    amp = s_vecs.conj() @ states.T
+    overlaps = np.hypot(amp.real, amp.imag)
+    shares = s_reflections[:, None] @ states[:, :, None]                # (m, k, 4, 1)
+    recovered = (s_vecs.conj()[:, None, None, :] @ (nonce_set.reflections @ shares))[..., 0, 0]
+    probs = np.hypot(recovered.real, recovered.imag) ** 2
+    pairs = [PairOverlap(i + 1, label, overlap, prob)
+             for label, row_o, row_p in zip(labels, overlaps.tolist(), probs.tolist())
+             for i, (overlap, prob) in enumerate(zip(row_o, row_p))]
+    worst = float(np.abs(overlaps - 0.5).max(initial=0.0))
+    return pairs, bool(worst < TOL), worst
 
 
 def recovery_amplitude(overlap_sq: float) -> float:

@@ -15,7 +15,7 @@ from qsslab import adversary, analysis
 from qsslab.errors import ValidationError
 from qsslab.linalg import (_MIXED_PURIFICATION, TOL, bloch_from_density, canonical_purification,
                            density_from_bloch, fidelity_terms, pure_density, validate_state)
-from qsslab.nonces import NonceSet, builtin_nonce_set
+from qsslab.nonces import SECRETS, NonceSet, builtin_nonce_set
 from oracles import (haar_state, mean_objective_coeffs, pauli_sum_density, phase_set,
                      random_density, stacked_bloch)
 
@@ -110,6 +110,37 @@ def test_objective_means_byte_for_byte():
         value, rho = analysis.max_average_fidelity(sigmas)
         want_value, want_rho = analysis.fidelity_optimum(want_b, want_c)
         assert value.hex() == want_value.hex() and _bytes_equal(rho, want_rho)
+
+
+def test_objective_means_of_secret_columns_byte_for_byte():
+    # certify takes every secret's b and c from one (k, 4, 2, 2) stack; each
+    # column's must equal the column's alone.
+    stacks = [np.stack([s, s[::-1], np.roll(s, 1, axis=0), s.conj()], axis=1)
+              for s in _share_stacks()]
+    stacks += [ns.reduced_share_stack for ns in map(builtin_nonce_set, BUILTINS)]
+    stacks += [_phase_set(k, k).reduced_share_stack for k in (1, 5, 8, 9, 64)]
+    for stack in stacks:
+        b_means, c_means = analysis._objective_coeffs(stack)
+        for n in range(4):
+            want_b, want_c = analysis._objective_coeffs(stack[:, n])
+            assert _bytes_equal(b_means[n], want_b) and c_means[n].hex() == want_c.hex()
+
+
+def _r_sets() -> list:
+    rng = np.random.default_rng(48)
+    sets = [builtin_nonce_set(name) for name in BUILTINS]
+    sets += [_phase_set(1 + i % 64, 100 + i) for i in range(96)]
+    return sets + [NonceSet(name=f"haar-{k}", states=tuple(haar_state(4, rng) for _ in range(k)))
+                   for k in (1, 2, 7, 16, 64)]
+
+
+def test_certify_r_of_s_byte_for_byte():
+    # One pass over the reduced-share stack, with no optimizer built, gives
+    # every secret's r_of_s value.
+    for ns in _r_sets():
+        report = analysis.certify(ns)
+        for s in SECRETS:
+            assert report.r_of_s[s].hex() == analysis.r_of_s(ns, s)[0].hex(), (ns.name, s)
 
 
 def test_committed_states_byte_for_byte():
