@@ -43,7 +43,8 @@ from .linalg import (
     validate_state,
     validate_unitary,
 )
-from .nonces import NonceSet, SECRETS, sample_outcome, set_frozen, share_state, validate_secret
+from .nonces import (NonceSet, SECRETS, sample_outcome, set_frozen, share_state, stage_iii,
+                     validate_secret)
 
 # A plan steers toward the secret Eve learned, or toward one fixed secret t.
 POLICY_TARGET_SECRET = "target-secret"
@@ -86,7 +87,7 @@ class HonestStrategy:
         return None
 
     def exact_branches(self, nonce_set, i, s):
-        return [(1.0, share_state(nonce_set.states[i], s), None)]
+        return [(1.0, nonce_set.share_stack[i, int(validate_secret(s), 2)], None)]
 
     def exact_block(self, nonce_set, s):
         outcomes = nonce_set.recovery_stack[:, SECRETS.index(validate_secret(s)), None]
@@ -131,13 +132,13 @@ class ImrGuessStrategy:
 
     def exact_branches(self, nonce_set, i, s):
         _check_same_set(self.nonce_set, nonce_set)
-        share = share_state(nonce_set.states[i], s)
+        share = nonce_set.share_stack[i, int(validate_secret(s), 2)]
         if self.guess == "uniform-random":
             first, stop = 0, len(nonce_set)
         else:
             first, stop = int(self.guess), int(self.guess) + 1
         p_guess = 1.0 / (stop - first)
-        probs = (np.abs(nonce_set.reflections[first:stop] @ share) ** 2).tolist()
+        probs = stage_iii(nonce_set.reflections[first:stop], share[None, None])[:, 0].tolist()
         return [(p_guess * p, nonce_set.share_stack[j, b], SECRETS[b])
                 for j, ps in enumerate(probs, first) for b, p in enumerate(ps) if p > MIN_OUTCOME_P]
 
@@ -177,12 +178,8 @@ class AttackPlan:
                 raise ValueError
         except (TypeError, ValueError):
             raise ValidationError("unitaries must be a numeric (K, 4, 2, 2) stack") from None
-        try:
-            validate_unitary(unitaries, dim=2)
-        except ValidationError:
-            # Raise again, naming the bad entry; names are formatted only on failure.
-            validate_unitary(unitaries, dim=2, names=[
-                f"v_table entry {i + 1},{s}" for i in range(len(unitaries)) for s in SECRETS])
+        validate_unitary(unitaries, dim=2, names=(  # formatted only on failure
+            f"v_table entry {i + 1},{s}" for i in range(len(unitaries)) for s in SECRETS))
         self.__setstate__({"alpha": alpha, "unitaries": unitaries, "steered": steer(alpha, unitaries)})
 
     def __setstate__(self, state):
@@ -270,12 +267,10 @@ class IfrStrategy:
         self.learned_secret = None
         self._retained = None
         # The engine announces only an index, so the strategy keeps the (public)
-        # nonce set it plays.  Stage III's outcomes [i, b, b'] do not depend on s:
-        # one (k, 1, 4, 4) @ (k, 4, 4, 1) product, as in detection_bounds.
+        # nonce set it plays.  Stage III's outcomes [i, b, b'] do not depend on s.
         self._nonce_set = nonce_set
         self.name = f"ifr:{plan.policy}"
-        steered = plan.steered[:len(nonce_set), ..., None]
-        self._outcomes = np.abs(nonce_set.reflections[:, None] @ steered)[..., 0] ** 2
+        self._outcomes = stage_iii(nonce_set.reflections, plan.steered[:len(nonce_set)])
 
     def intercept(self, share, rng):
         self._retained = np.array(share, dtype=complex)
@@ -361,10 +356,7 @@ def plan_overlaps(plan: AttackPlan, nonce_set: NonceSet) -> dict:
     """Achieved |<psi_{i,target}| (V x I) |alpha>|^2 per (nonce, secret) of
     ``nonce_set``, which the plan must cover."""
     plan.validate_for(nonce_set)
-    out = {}
-    for i, psi in enumerate(nonce_set.states):
-        for n, s in enumerate(SECRETS):
-            target = share_state(psi, policy_target(plan.policy, s))
-            out[(i, s)] = state_fidelity(target, plan.steered[i, n])
-    return out
+    targets = [SECRETS.index(policy_target(plan.policy, s)) for s in SECRETS]
+    return {(i, s): state_fidelity(nonce_set.share_stack[i, t], plan.steered[i, n])
+            for i in range(len(nonce_set)) for n, (s, t) in enumerate(zip(SECRETS, targets))}
 

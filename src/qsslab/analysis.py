@@ -45,6 +45,7 @@ from .nonces import (
     basis_state,
     reflection,
     share_state,  # noqa: F401 -- benchmarks/traced.py wraps analysis.share_state
+    stage_iii,
     validate_secret,
 )
 from .protocol import EAVESDROPPER_DETECTED, MODE_SECRETS, MODES, RETIRED, VERDICTS, VERDICT_INDEX
@@ -247,12 +248,10 @@ def detection_bounds(nonce_set: NonceSet, mode_prior: float = 0.5) -> dict:
     per_policy = {}
     success01 = 0.0
     for policy in (adversary.POLICY_TARGET_SECRET, adversary.POLICY_TARGET_01):
-        alpha, unitaries = adversary.plan_arrays(nonce_set, policy)
-        steered = adversary.steer(alpha, unitaries)
-        outcomes = np.abs(nonce_set.reflections[:, None] @ steered[..., None])[..., 0] ** 2
+        steered = adversary.steer(*adversary.plan_arrays(nonce_set, policy))
         masses = np.zeros(len(VERDICTS))
         # One by one, in order, as the engine adds; np.add.reduce sums pairwise.
-        np.add.at(masses, verdicts, (weights * outcomes).ravel())
+        np.add.at(masses, verdicts, (weights * stage_iii(nonce_set.reflections, steered)).ravel())
         per_policy[policy] = float(masses[VERDICTS.index(EAVESDROPPER_DETECTED)])
         if policy == adversary.POLICY_TARGET_01 and mode_prior > 0.0:
             # RETIRED is exactly a SECRET-mode round that measured 01 or 10.

@@ -5,7 +5,7 @@ arrays of length 2 or 4 (two-qubit basis order 00, 01, 10, 11 with the
 first tensor factor held by Eve), density matrices and unitaries are 2-D
 complex arrays.  All operations are pure functions; inputs are never
 mutated.  Steering (``max_overlap_unitary``) is a closed-form polar factor,
-and the qubit determinant and square root are written out too.
+and the qubit determinant and square root are written out too: no call reaches LAPACK.
 
 Tolerance: TOL (1e-9) for algebraic identities that hold exactly at these
 dimensions; INPUT_TOL (1e-6) for the checks on given states and unitaries.
@@ -57,8 +57,8 @@ def validate_state(v, *, dim: int | None = None, what: str = "state") -> np.ndar
 def validate_unitary(u, *, dim: int | None = None, names=None) -> np.ndarray:
     """Check a unitary, or a stack of unitaries along the leading axes.
 
-    A failure in a stack names its first bad matrix: ``names[j]`` for the
-    j-th matrix in row-major order when given, else ``matrix j``.
+    A failure in a stack names its first bad matrix: the j-th of ``names`` (any
+    iterable, read only on failure) for the j-th matrix in row-major order, else ``matrix j``.
     """
     mat = np.asarray(u, dtype=complex)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
@@ -76,7 +76,7 @@ def validate_unitary(u, *, dim: int | None = None, names=None) -> np.ndarray:
         reason = ("unitary has non-finite entries or entries above 1 in modulus"
                   if bad_entries.reshape(-1)[j] else "matrix is not unitary")
         if mat.ndim > 2:
-            reason = f"{names[j] if names is not None else f'matrix {j}'}: {reason}"
+            reason = f"{[*names][j] if names is not None else f'matrix {j}'}: {reason}"
         raise ValidationError(reason)
     return mat
 
@@ -138,34 +138,25 @@ def state_fidelity(a, b) -> float:
 
 
 def fidelity(rho, sigma) -> float:
-    """Squared-convention fidelity, F(pure, pure) = |<a|b>|^2.
+    """Squared-convention fidelity F = Tr(rho sigma) + 2 sqrt(det rho) sqrt(det sigma), the
+    second term for qubits only, each sqrt(det) ``_root_det``'s; F(pure, pure) = |<a|b>|^2.
 
-    Dimension 2 uses the qubit closed form
-        F = Tr(rho sigma) + 2 sqrt(det rho * det sigma),
-    with the determinant term exactly 0 when either argument passes
-    ``is_pure``; its float-noise determinant would otherwise add up to
-    about 1e-8.
-    Dimension 4 requires at least one pure argument and evaluates
-    <pure| other |pure>; the mixed-mixed two-qubit case is rejected.
+    A pure rho = |v><v| makes Tr(rho sigma) = <v|sigma|v>, the whole fidelity, so two-qubit
+    states need one pure argument; two mixed ones raise ``UnsupportedCaseError``.
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise ValidationError("fidelity requires equal dimensions")
     if rho.shape == (2, 2):
-        if is_pure(rho) or is_pure(sigma):
-            cross = 0.0
-        else:
-            cross = _det(rho) * _det(sigma)
-        val = np.trace(rho @ sigma).real + 2.0 * np.sqrt(max(cross, 0.0))
-        return float(min(max(val, 0.0), 1.0))
-    if rho.shape != (4, 4):
+        cross = 2.0 * _root_det(rho) * _root_det(sigma)
+    elif rho.shape != (4, 4):
         raise ValidationError("fidelity supports dimensions 2 and 4 only")
-    for pure, other in ((rho, sigma), (sigma, rho)):
-        if is_pure(pure):
-            v = np.linalg.eigh(pure)[1][:, -1]
-            return float(min(max(np.vdot(v, other @ v).real, 0.0), 1.0))
-    raise UnsupportedCaseError("fidelity of two mixed two-qubit states is not supported")
+    elif is_pure(rho) or is_pure(sigma):
+        cross = 0.0
+    else:
+        raise UnsupportedCaseError("fidelity of two mixed two-qubit states is not supported")
+    return float(min(max(np.trace(rho @ sigma).real + cross, 0.0), 1.0))
 
 
 def bloch_from_density(rho) -> np.ndarray:

@@ -85,7 +85,7 @@ class NonceSet:
     (k, 4, 4; by nonce only), the share states U_s|psi_i> ``share_stack``
     (k, 4, 4), Bob's reduced shares (Eve's qubit traced out) ``reduced_share_stack``
     (k, 4, 2, 2), and ``recovery_stack`` (k, 4, 4), whose ``[i, n, b]`` is the
-    recovery probability |<b| U_psi_i U_s |psi_i>|^2 of outcome b = SECRETS[b].
+    recovery probability |<b| U_psi_i U_s |psi_i>|^2 of outcome b = SECRETS[b] (``stage_iii``).
     ``copy`` and ``pickle`` keep the arrays as they are, without validating
     again.
     """
@@ -106,12 +106,9 @@ class NonceSet:
         ])
         shares = np.stack([share_state(states, s) for s in SECRETS], axis=1)
         reflections = reflection(states)
-        # One matrix-vector product per (nonce, secret), so each secret's
-        # slice equals a (k, 4, 4) @ (k, 4, 1) product bit for bit.
-        recovery = np.abs(reflections[:, None] @ shares[..., None])[..., 0] ** 2
         set_frozen(self, states=states, reflections=reflections, share_stack=shares,
                    reduced_share_stack=partial_trace_E(pure_density(shares)),
-                   recovery_stack=recovery)
+                   recovery_stack=stage_iii(reflections, shares))
 
     def __setstate__(self, state):
         # Copies and unpickled sets keep the validated arrays bit for bit.
@@ -132,6 +129,13 @@ def reflection(about) -> np.ndarray:
     """
     v = np.asarray(about, dtype=complex)
     return np.eye(v.shape[-1], dtype=complex) - 2.0 * pure_density(v)
+
+
+def stage_iii(reflections, joints) -> np.ndarray:
+    """Stage III's outcome probabilities |<b| U_psi_i |chi>|^2, shape (k, n, 4), for each
+    state chi = joints[i, n] reaching nonce i's reflection; a state alone gives its row's
+    bits in any stack, one matrix-vector product each.  Leading axes broadcast."""
+    return np.abs(reflections[:, None] @ joints[..., None])[..., 0] ** 2
 
 
 def share_state(nonce, s: str) -> np.ndarray:

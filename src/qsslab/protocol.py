@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ProtocolError, ValidationError
 from .jsonio import complex_to_json
 from .linalg import INPUT_TOL
-from .nonces import NonceSet, SECRETS, sample_outcome, share_state, validate_secret
+from .nonces import NonceSet, SECRETS, sample_outcome, share_state, stage_iii, validate_secret
 
 SECRET = "SECRET"
 DETECT = "DETECT"
@@ -281,9 +281,8 @@ def _exact_blocks(nonce_set: NonceSet, strategy, s: str):
         branches = [br for br in strategy.exact_branches(nonce_set, i, s) if not br[0] <= 0.0]
         if branches:
             p_branch, joints, learned = zip(*branches)
-            # (1, 1, 4, 4) @ (1, n, 4, 1): one matrix-vector product per branch.
-            out = nonce_set.reflections[i:i + 1, None] @ np.array([joints], complex)[..., None]
-            yield (i, np.array([p_branch]), np.abs(out[..., 0]) ** 2,
+            yield (i, np.array([p_branch]),
+                   stage_iii(nonce_set.reflections[i:i + 1], np.array([joints], complex)),
                    np.array([learned], dtype=object))
 
 
