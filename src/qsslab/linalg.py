@@ -148,14 +148,11 @@ def fidelity(rho, sigma) -> float:
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise ValidationError("fidelity requires equal dimensions")
-    if rho.shape == (2, 2):
-        cross = 2.0 * _root_det(rho) * _root_det(sigma)
-    elif rho.shape != (4, 4):
+    if rho.shape not in ((2, 2), (4, 4)):
         raise ValidationError("fidelity supports dimensions 2 and 4 only")
-    elif is_pure(rho) or is_pure(sigma):
-        cross = 0.0
-    else:
+    if rho.shape == (4, 4) and not (is_pure(rho) or is_pure(sigma)):
         raise UnsupportedCaseError("fidelity of two mixed two-qubit states is not supported")
+    cross = 2.0 * _root_det(rho) * _root_det(sigma) if rho.shape == (2, 2) else 0.0
     return float(min(max(np.trace(rho @ sigma).real + cross, 0.0), 1.0))
 
 
