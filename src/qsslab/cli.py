@@ -7,9 +7,9 @@ uses the generator seeded with ``[seed, r]``.  Report timestamps honor
 SOURCE_DATE_EPOCH so identical inputs, seed and version produce
 byte-identical output files.
 
-Exit codes: 0 success / all certifications pass, 1 certification failure,
-2 validation or I/O error, 3 internal error (any other exception), each
-with a one-line message on stderr.
+Exit codes: 0 success / all certifications pass, 1 certification failure, 2 validation or
+I/O error (an output path naming an input file or another output too, before any work),
+3 internal error (any other exception), each with a one-line message on stderr.
 """
 from __future__ import annotations
 
@@ -78,6 +78,16 @@ _out = _flag(_path, lambda p: not os.path.isdir(p) and os.path.isdir(os.path.dir
              "expected a file path in an existing directory, got {raw!r}")
 
 
+def _refuse_overwrite(outputs: dict, inputs: list) -> None:
+    """Refuse, before any work, an output path naming another output or an input file, compared
+    after os.path.realpath; inputs may name one file twice, as report merges duplicates."""
+    seen = {os.path.realpath(p): f for f, p in inputs
+            if p and not (f == "--nonces" and p.startswith("builtin:"))}
+    for flag, path in outputs.items():
+        if path and seen.setdefault(real := os.path.realpath(path), flag) != flag:
+            raise ValidationError(f"{flag} would overwrite {seen[real]}: both name {path}")
+
+
 def _env_int(name: str, default: int) -> int:
     """A non-negative integer from the environment, or ``default`` if unset."""
     raw = os.environ.get(name)
@@ -130,6 +140,7 @@ def cmd_certify(args) -> int:
     manifest = build_manifest("certify", args.nonces, _default_seed(), 0, 0.5) \
         if args.out else None
     txt_path = args.out and _out(args.out.removesuffix(".json") + ".txt")
+    _refuse_overwrite({"--out": args.out, "--out's .txt": txt_path}, [("--nonces", args.nonces)])
     nonce_set = resolve_nonce_source(args.nonces)
     report = analysis.certify(nonce_set)
     text = analysis.format_certification(nonce_set, report)
@@ -157,6 +168,7 @@ def _decode_alpha(raw) -> np.ndarray:
 
 
 def cmd_attack(args) -> int:
+    _refuse_overwrite({"--out": args.out}, [("--nonces", args.nonces), ("--alpha", args.alpha)])
     nonce_set = resolve_nonce_source(args.nonces)
     alpha = load_json(args.alpha, _decode_alpha) if args.alpha else None
     plan = adversary.synthesize_plan(nonce_set, args.policy, alpha=alpha)
@@ -199,6 +211,8 @@ def _parse_strategy(selector: str, nonce_set: NonceSet):
 
 
 def cmd_simulate(args) -> int:
+    _refuse_overwrite({"--out": args.out, "--transcripts": args.transcripts}, [
+        ("--nonces", args.nonces), ("--strategy", args.strategy.partition("ifr:")[2])])
     nonce_set = resolve_nonce_source(args.nonces)
     strategy = _parse_strategy(args.strategy, nonce_set)
     seed = args.seed if args.seed is not None else _default_seed()
@@ -321,6 +335,8 @@ def _report_entry(payload) -> tuple:
 
 def cmd_report(args) -> int:
     json_path, csv_path = _out(args.out + ".json"), _out(args.out + ".csv")
+    _refuse_overwrite({"--out's .json": json_path, "--out's .csv": csv_path},
+                      [("--inputs", path) for path in args.inputs])
     # Every file is decoded, duplicates too, so a malformed one always names itself.
     rows = {}
     for path in args.inputs:
