@@ -144,10 +144,10 @@ class ImrGuessStrategy:
 
 
 def steer(alpha: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
-    """(V x I)|alpha> for each V of a (K, 4, 2, 2) stack: shape (K, 4, 4).  That is
-    V A for alpha's 2x2 A (row = Eve index), written out as V's columns times A's rows."""
-    a = alpha.reshape(2, 2)
-    return (unitaries[..., :1] * a[0] + unitaries[..., 1:] * a[1]).reshape(-1, 4, 4)
+    """(V x I)|alpha> for each V of a (..., 2, 2) stack: shape (..., 4); ``alpha`` (..., 4)
+    broadcasts.  That is V A for alpha's 2x2 A (row = Eve index), as V's columns times A's rows."""
+    return (unitaries[..., :1] * alpha[..., None, :2] + unitaries[..., 1:] * alpha[..., None, 2:]
+            ).reshape(*unitaries.shape[:-2], 4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,20 +323,37 @@ def require_recoverable(nonce_set: NonceSet) -> None:
         )
 
 
+def _plan_alpha(nonce_set: NonceSet, policy: str, alpha=None) -> tuple[np.ndarray, tuple]:
+    """A plan's alpha and the targets it steers toward: target-secret's four, or one fixed."""
+    targets = SECRETS if policy == POLICY_TARGET_SECRET else (policy_target(policy, SECRETS[0]),)
+    if alpha is not None:
+        return validate_state(alpha, dim=4, what="alpha"), targets
+    if len(targets) == 4:
+        return _MIXED_PURIFICATION, targets
+    return canonical_purification(analysis.r_of_s(nonce_set, targets[0])[1]), targets
+
+
 def plan_arrays(nonce_set: NonceSet, policy: str,
                 alpha: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The ``alpha`` and ``unitaries`` of ``synthesize_plan``, unwrapped and
     with no recoverability check; a fixed target takes one steering unitary per nonce."""
-    targets = [SECRETS.index(policy_target(policy, s)) for s in SECRETS]
-    distinct = targets if policy == POLICY_TARGET_SECRET else targets[:1]
-    if alpha is not None:
-        alpha = validate_state(alpha, dim=4, what="alpha")
-    elif policy == POLICY_TARGET_SECRET:
-        alpha = _MIXED_PURIFICATION
-    else:
-        alpha = canonical_purification(analysis.r_of_s(nonce_set, SECRETS[targets[0]])[1])
-    v, _ = max_overlap_unitary(alpha, nonce_set.share_stack[:, distinct])
-    return alpha, v.repeat(4 // len(distinct), axis=1)
+    alpha, targets = _plan_alpha(nonce_set, policy, alpha)
+    v, _ = max_overlap_unitary(alpha, nonce_set.share_stack[:, [int(t, 2) for t in targets]])
+    return alpha, v.repeat(4 // len(targets), axis=1)
+
+
+def steered_columns(nonce_set: NonceSet, policies) -> tuple[np.ndarray, list]:
+    """The policies' plans in one steering pass, with ``plan_arrays``' bits: (V x I)|alpha> toward
+    each plan's distinct targets, (k, n, 4), and each policy's column per learned secret."""
+    alphas, targets, columns = [], [], []
+    for policy in policies:
+        alpha, distinct = _plan_alpha(nonce_set, policy)
+        columns.append([*range(len(targets), len(targets) + len(distinct))] * (4 // len(distinct)))
+        alphas += [alpha] * len(distinct)
+        targets += [int(t, 2) for t in distinct]
+    alphas = np.array(alphas)
+    v, _ = max_overlap_unitary(alphas, nonce_set.share_stack[:, targets])
+    return steer(alphas, v), columns
 
 
 def synthesize_plan(nonce_set: NonceSet, policy: str,

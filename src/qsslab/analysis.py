@@ -22,6 +22,7 @@ only DETECT rounds are flagged, with probability 1 - (1 + C_i)/2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,10 +67,20 @@ class PairOverlap:
 class RecoverabilityReport:
     labels: tuple
     overlaps: list                  # |<s|psi_i>|, one row of k per label
-    recovery_probabilities: list    # |<s| U_psi_i U_s |psi_i>|^2, likewise
     passed: bool
     worst_overlap_deviation: float
-    worst_recovery_deviation: float
+    _inputs: tuple = field(repr=False, compare=False)  # secret vectors, reflections; nonce set
+
+    @cached_property
+    def recovery_probabilities(self) -> list:  # |<s| U_psi_i U_s |psi_i>|^2, rows as overlaps
+        s_vecs, s_reflections, nonce_set = self._inputs
+        shares = s_reflections @ nonce_set.states.T                     # (m, 4, k): U_s|psi_i>
+        recovered = np.einsum("ma,kab,mbk->mk", s_vecs.conj(), nonce_set.reflections, shares)
+        return (np.hypot(recovered.real, recovered.imag) ** 2).tolist()
+
+    @cached_property
+    def worst_recovery_deviation(self) -> float:
+        return _worst_deviation(np.array(self.recovery_probabilities), 1.0)
 
     @property
     def pairs(self) -> list:
@@ -109,32 +120,26 @@ def _worst_deviation(values: np.ndarray, target: float) -> float:
 
 
 def overlap_deviation(nonce_set: NonceSet) -> float:
-    """Worst | |<s|psi>| - 1/2 | over the classical secrets and every nonce:
-    the deviation ``check_recoverability`` tests, without building its
-    report."""
+    """Worst | |<s|psi>| - 1/2 | over the classical secrets and every nonce: the deviation
+    ``check_recoverability`` tests, without building its report."""
     return _worst_deviation(_overlaps(_CLASSICAL[1], nonce_set.states), 0.5)
 
 
 def check_recoverability(nonce_set: NonceSet, secrets=None) -> RecoverabilityReport:
     """Check |<s|psi>| = 1/2 for every pair, and verify the recovery chain.
 
-    ``secrets`` may mix 2-bit strings and normalized two-qubit state
-    vectors; it defaults to the four classical secrets.  The recovery
-    probability |<s| U_psi U_s |psi>|^2 is computed directly as well, so
-    the report witnesses both sides of the equivalence.  The set passes
-    when the worst overlap deviation is below ``TOL``, the threshold at
-    which ``synthesize_plan`` accepts it.  ``pairs`` is built when read.
+    ``secrets`` may mix 2-bit strings and normalized two-qubit state vectors; it defaults to
+    the four classical secrets.  The set passes when the worst overlap deviation is below
+    ``TOL``, the threshold at which ``synthesize_plan`` accepts it.  The report witnesses the
+    other side of the equivalence, |<s| U_psi U_s |psi>|^2, computed directly when first read.
     """
     labels, s_vecs, s_reflections = _labelled_secrets(secrets)          # s_vecs: (m, 4)
     if not labels:
         raise ValidationError("need at least one secret")
     overlaps = _overlaps(s_vecs, nonce_set.states)                      # (m, k)
-    shares = s_reflections @ nonce_set.states.T                         # (m, 4, k): U_s|psi_i>
-    recovered = np.einsum("ma,kab,mbk->mk", s_vecs.conj(), nonce_set.reflections, shares)
-    probs = np.hypot(recovered.real, recovered.imag) ** 2
     worst = _worst_deviation(overlaps, 0.5)
-    return RecoverabilityReport(labels, overlaps.tolist(), probs.tolist(), bool(worst < TOL), worst,
-                                _worst_deviation(probs, 1.0))
+    return RecoverabilityReport(labels, overlaps.tolist(), bool(worst < TOL), worst,
+                                (s_vecs, s_reflections, nonce_set))
 
 
 # ---------------------------------------------------------------------------
@@ -238,24 +243,24 @@ def detection_bounds(nonce_set: NonceSet, mode_prior: float = 0.5) -> dict:
         raise ValidationError(f"mode_prior must be in [0, 1], got {mode_prior}")
     k = len(nonce_set)
     recovery = nonce_set.recovery_stack
-    branches = np.where(recovery > adversary.MIN_OUTCOME_P, recovery, 0.0)
+    branches = np.where(recovery > adversary.MIN_OUTCOME_P, recovery, 0.0).swapaxes(0, 1)
     # The engine's (mode, s) blocks, in order: branch weights and verdicts of b'.
-    cells = [(m, SECRETS.index(s), p_mode * 0.5 / k)
-             for m, p_mode in enumerate((mode_prior, 1.0 - mode_prior)) if p_mode != 0.0
-             for s in MODE_SECRETS[MODES[m]]]
-    weights = np.array([np.multiply(base, branches[:, n]) for _, n, base in cells])[..., None]
-    verdicts = np.array([VERDICT_INDEX[m, n] for m, n, _ in cells]).repeat(4 * k, axis=0).ravel()
-    per_policy = {}
-    success01 = 0.0
-    for policy in (adversary.POLICY_TARGET_SECRET, adversary.POLICY_TARGET_01):
-        steered = adversary.steer(*adversary.plan_arrays(nonce_set, policy))
-        masses = np.zeros(len(VERDICTS))
-        # One by one, in order, as the engine adds; np.add.reduce sums pairwise.
-        np.add.at(masses, verdicts, (weights * stage_iii(nonce_set.reflections, steered)).ravel())
-        per_policy[policy] = float(masses[VERDICTS.index(EAVESDROPPER_DETECTED)])
-        if policy == adversary.POLICY_TARGET_01 and mode_prior > 0.0:
-            # RETIRED is exactly a SECRET-mode round that measured 01 or 10.
-            success01 = float(masses[VERDICTS.index(RETIRED)]) / mode_prior
+    modes, secrets, bases = zip(*[(m, SECRETS.index(s), p_mode * 0.5 / k)
+                                  for m, p_mode in enumerate((mode_prior, 1.0 - mode_prior))
+                                  if p_mode != 0.0 for s in MODE_SECRETS[MODES[m]]])
+    weights = np.array(bases)[:, None, None, None] * branches[list(secrets), ..., None]
+    verdicts = VERDICT_INDEX[modes, secrets].repeat(4 * k, axis=0).ravel()
+    policies = (adversary.POLICY_TARGET_SECRET, adversary.POLICY_TARGET_01)
+    steered, columns = adversary.steered_columns(nonce_set, policies)
+    # (policy, mode and s, nonce, b, b'); target-01's one column broadcasts over b.
+    outcomes = stage_iii(nonce_set.reflections, steered)[:, columns].swapaxes(0, 1)[:, None]
+    masses = np.zeros((2, len(VERDICTS)))
+    # One by one, in order, as the engine adds (not pairwise); flat, for ufunc.at's fast path.
+    np.add.at(masses.reshape(-1), np.concatenate((verdicts, verdicts + len(VERDICTS))),
+              (weights * outcomes).ravel())
+    per_policy = dict(zip(policies, masses[:, VERDICTS.index(EAVESDROPPER_DETECTED)].tolist()))
+    # RETIRED is exactly a SECRET-mode round that measured 01 or 10.
+    success01 = float(masses[1, VERDICTS.index(RETIRED)]) / mode_prior if mode_prior > 0.0 else 0.0
     return {
         "floor": min(per_policy.values()),
         "ceiling": 1.0 - mode_prior * success01,
@@ -315,14 +320,8 @@ def certify(nonce_set: NonceSet) -> CertificationReport:
 # ---------------------------------------------------------------------------
 # Plain-text rendering in the layout of the share/reduced-share tables
 
-_NAMED_QUBITS = {
-    "|+>": PLUS,
-    "|->": MINUS,
-    "|+i>": PLUS_I,
-    "|-i>": MINUS_I,
-    "|0>": np.array([1, 0], dtype=complex),
-    "|1>": np.array([0, 1], dtype=complex),
-}
+_NAMED_QUBITS = {"|+>": PLUS, "|->": MINUS, "|+i>": PLUS_I, "|-i>": MINUS_I,
+                 "|0>": np.array([1, 0], dtype=complex), "|1>": np.array([0, 1], dtype=complex)}
 
 
 def _label_qubit_state(rho: np.ndarray) -> str:

@@ -80,12 +80,18 @@ _out = _flag(_path, lambda p: not os.path.isdir(p) and os.path.isdir(os.path.dir
 
 def _refuse_overwrite(outputs: dict, inputs: list) -> None:
     """Refuse, before any work, an output path naming another output or an input file, compared
-    after os.path.realpath; inputs may name one file twice, as report merges duplicates."""
-    seen = {os.path.realpath(p): f for f, p in inputs
+    by (device, inode) where the file exists, which sees hard links, else by os.path.realpath;
+    inputs may name one file twice, as report merges duplicates."""
+    def file_key(path: str):
+        try:
+            return (st := os.stat(path)).st_dev, st.st_ino
+        except (OSError, ValueError):
+            return os.path.realpath(path)
+    seen = {file_key(p): f for f, p in inputs
             if p and not (f == "--nonces" and p.startswith("builtin:"))}
     for flag, path in outputs.items():
-        if path and seen.setdefault(real := os.path.realpath(path), flag) != flag:
-            raise ValidationError(f"{flag} would overwrite {seen[real]}: both name {path}")
+        if path and seen.setdefault(key := file_key(path), flag) != flag:
+            raise ValidationError(f"{flag} would overwrite {seen[key]}: both name {path}")
 
 
 def _env_int(name: str, default: int) -> int:
@@ -115,17 +121,9 @@ def _default_seed() -> int:
 
 def build_manifest(command: str, nonce_source: str, seed: int,
                    rounds: int, mode_prior: float) -> dict:
-    return {
-        "command": command,
-        "nonce_source": nonce_source,
-        "seed": seed,
-        "rounds": rounds,
-        "mode_prior": mode_prior,
-        "tool_version": __version__,
-        "numerics": NUMERICS,
-        "rng_contract": RNG_CONTRACT,
-        "timestamp": _timestamp(),
-    }
+    return {"command": command, "nonce_source": nonce_source, "seed": seed, "rounds": rounds,
+            "mode_prior": mode_prior, "tool_version": __version__, "numerics": NUMERICS,
+            "rng_contract": RNG_CONTRACT, "timestamp": _timestamp()}
 
 
 def manifest_hash(manifest: dict) -> str:
@@ -146,11 +144,8 @@ def cmd_certify(args) -> int:
     text = analysis.format_certification(nonce_set, report)
     sys.stdout.write(text)
     if args.out:
-        write_json(args.out, {
-            "kind": "certification",
-            "manifest": manifest,
-            "certification": report.to_json_dict(),
-        })
+        write_json(args.out, {"kind": "certification", "manifest": manifest,
+                              "certification": report.to_json_dict()})
         with open(txt_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     failed = [c for c in ("recoverable", "secret", "imr_protected") if not getattr(report, c)]
@@ -219,14 +214,9 @@ def cmd_simulate(args) -> int:
     manifest = build_manifest("simulate", args.nonces, seed, args.rounds, args.mode_prior)
 
     exact = outcome_distribution(nonce_set, strategy, mode_prior=args.mode_prior)
-    result = {
-        "nonce_set": nonce_set.name,
-        "strategy": strategy.name,
-        "mode_prior": args.mode_prior,
-        "exact_p_detect": exact.p_detect,
-        "exact_p_eve_knows_secret": exact.p_eve_knows_secret,
-        "exact_verdict_probs": exact.verdict_probs,
-    }
+    result = {"nonce_set": nonce_set.name, "strategy": strategy.name, "mode_prior": args.mode_prior,
+              "exact_p_detect": exact.p_detect, "exact_p_eve_knows_secret": exact.p_eve_knows_secret,
+              "exact_verdict_probs": exact.verdict_probs}
     if args.exact:
         result.update({"rounds": 0, "p_detect": exact.p_detect, "stderr": None,
                        "p_eve_knows_secret": exact.p_eve_knows_secret})
@@ -240,14 +230,8 @@ def cmd_simulate(args) -> int:
         else:
             counts, eve_hits = tally_rounds(cfg, strategy, args.rounds)
         p, stderr = detection_rate(counts)
-        result.update({
-            "rounds": args.rounds,
-            "seed": seed,
-            "p_detect": p,
-            "stderr": stderr,
-            "p_eve_knows_secret": eve_hits / args.rounds,
-            "verdict_counts": counts,
-        })
+        result.update({"rounds": args.rounds, "seed": seed, "p_detect": p, "stderr": stderr,
+                       "p_eve_knows_secret": eve_hits / args.rounds, "verdict_counts": counts})
     sys.stdout.write(
         f"{nonce_set.name} / {strategy.name}: p_detect={result['p_detect']:.6g} "
         f"(exact {exact.p_detect:.6g}), eve_knows_secret={result['p_eve_knows_secret']:.6g}\n"

@@ -6,18 +6,15 @@ class QsslabError(Exception):
 
 
 class ValidationError(QsslabError):
-    """Malformed or non-physical input: bad dimensions, non-normalized
-    states, non-unitary matrices, unparsable files, mismatched plans."""
+    """Malformed or non-physical input: bad shapes, states, unitaries, files or plans."""
 
 
 class UnsupportedCaseError(QsslabError):
-    """A computation that is deliberately not implemented (e.g. fidelity
-    of two mixed two-qubit states)."""
+    """A deliberately unimplemented case (e.g. fidelity of two mixed two-qubit states)."""
 
 
 class CertificationError(QsslabError):
-    """A nonce set failed a certification required by the requested
-    operation (e.g. attack synthesis on a non-recoverable set)."""
+    """A nonce set failed a certification the operation needs (e.g. attack synthesis)."""
 
 
 class ProtocolError(QsslabError):

@@ -54,6 +54,21 @@ def validate_state(v, *, dim: int | None = None, what: str = "state") -> np.ndar
     return arr if abs(norm - 1.0) <= _UNIT_NORM_TOL else arr / norm
 
 
+def validate_states(vs, *, dim: int, what: str) -> np.ndarray:
+    """``validate_state`` of each row, ``what`` and its 1-based index naming a bad one: in one
+    step when all pass (re.re + im.im by ``@`` has ``np.linalg.norm``'s bits), else row by row."""
+    try:
+        arr = np.array(vs, dtype=complex)
+    except (TypeError, ValueError):
+        arr = np.empty((0, 0), dtype=complex)
+    if arr.ndim == 2 and arr.shape[1] == dim and (np.abs(arr) <= 1.0 + INPUT_TOL).all():
+        re, im = arr.real[:, None], arr.imag[:, None]
+        norm = np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, :, 0])
+        if (np.abs(norm - 1.0) <= INPUT_TOL).all():
+            return np.where(np.abs(norm - 1.0) <= _UNIT_NORM_TOL, arr, arr / norm)
+    return np.array([validate_state(v, dim=dim, what=f"{what} {i + 1}") for i, v in enumerate(vs)])
+
+
 def validate_unitary(u, *, dim: int | None = None, names=None) -> np.ndarray:
     """Check a unitary, or a stack of unitaries along the leading axes.
 
@@ -83,8 +98,7 @@ def validate_unitary(u, *, dim: int | None = None, names=None) -> np.ndarray:
 
 def tensor(a, b) -> np.ndarray:
     """Tensor product of two single-qubit states; basis index 2*i(a) + i(b)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if a.shape != (2,) or b.shape != (2,):
         raise ValidationError("tensor expects two single-qubit state vectors")
     return np.kron(a, b)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .jsonio import complex_from_json, complex_to_json, load_json
-from .linalg import partial_trace_E, pure_density, validate_state
+from .linalg import partial_trace_E, pure_density, validate_states
 
 SECRETS = ("00", "01", "10", "11")
 
@@ -55,10 +55,7 @@ def sample_outcome(state: np.ndarray, rng) -> str:
 
 def basis_state(s: str) -> np.ndarray:
     """Computational-basis two-qubit state |s> for a 2-bit string."""
-    validate_secret(s)
-    e = np.zeros(4, dtype=complex)
-    e[int(s, 2)] = 1.0
-    return e
+    return np.eye(4, dtype=complex)[int(validate_secret(s), 2)]
 
 
 def validate_secret(s) -> str:
@@ -79,7 +76,7 @@ def set_frozen(obj, **fields) -> None:
 class NonceSet:
     """A named, ordered list of normalized two-qubit nonce states.
 
-    Any sequence of state vectors is validated row by row into ``states``,
+    Any sequence of state vectors is validated (``validate_states``) into ``states``,
     a read-only (k, 4) array.  Built with it, read-only too, and indexed
     ``[i, n]`` for nonce i and s = SECRETS[n]: the reflections U_psi_i
     (k, 4, 4; by nonce only), the share states U_s|psi_i> ``share_stack``
@@ -100,10 +97,7 @@ class NonceSet:
     def __post_init__(self):
         if len(self.states) < 1:
             raise ValidationError("a nonce set needs at least one state")
-        states = np.array([
-            validate_state(v, dim=4, what=f"nonce state {i + 1}")
-            for i, v in enumerate(self.states)
-        ])
+        states = validate_states(self.states, dim=4, what="nonce state")
         shares = np.stack([share_state(states, s) for s in SECRETS], axis=1)
         reflections = reflection(states)
         set_frozen(self, states=states, reflections=reflections, share_stack=shares,
@@ -157,12 +151,7 @@ def _hsu_original() -> NonceSet:
 
 
 def _proposed_j() -> NonceSet:
-    states = (
-        0.5 * np.array([1, 1, -1, 1], dtype=complex),
-        0.5 * np.array([1, -1, 1, 1], dtype=complex),
-        0.5 * np.array([1, 1j, -1j, -1], dtype=complex),
-        0.5 * np.array([1, -1j, 1j, -1], dtype=complex),
-    )
+    states = 0.5 * np.array([[1, 1, -1, 1], [1, -1, 1, 1], [1, 1j, -1j, -1], [1, -1j, 1j, -1]])
     return NonceSet(name="proposed-J", states=states)
 
 

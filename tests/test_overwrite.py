@@ -3,10 +3,12 @@
 An output path that names an input file, or another output, exits 2 before
 any work, with a message naming both flags and the path: the directory is
 left exactly as it was.  Paths are compared after ``os.path.realpath``, so
-another spelling or a symlink is caught too.  Inputs are never compared
-with each other: ``report`` merges a file given twice.
+another spelling or a symlink is caught too, and files that exist by
+(device, inode), so a hard link is caught as well.  Inputs are never
+compared with each other: ``report`` merges a file given twice.
 """
 import json
+import os
 
 import pytest
 
@@ -88,3 +90,31 @@ def test_distinct_paths_and_repeated_inputs_still_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["certify", "--nonces", "builtin:proposed-J", "--out", "builtin:proposed-J"]) == 0
     assert (tmp_path / "builtin:proposed-J").is_file()
+
+
+HARD_LINK_CASES = [
+    (["certify", "--nonces", "{d}/n.json", "--out", "{d}/h.json"], "n.json",
+     "--out would overwrite --nonces: both name {d}/h.json"),
+    (["attack", "--nonces", "builtin:proposed-J", "--policy", "target-01", "--alpha", "{d}/a.json",
+      "--out", "{d}/h.json"], "a.json", "--out would overwrite --alpha: both name {d}/h.json"),
+    (["simulate", "--nonces", "builtin:proposed-J", "--strategy", "honest", "--rounds", "5",
+      "--out", "{d}/c.json", "--transcripts", "{d}/h.json"], "c.json",
+     "--transcripts would overwrite --out: both name {d}/h.json"),
+    (["report", "--inputs", "{d}/h.json", "--out", "{d}/c"], "c.json",
+     "--out's .json would overwrite --inputs: both name {d}/c.json"),
+]
+
+
+@pytest.mark.parametrize("argv,target,message", HARD_LINK_CASES,
+                         ids=[f"{argv[0]}: {message.split(':')[0]}"
+                              for argv, _, message in HARD_LINK_CASES])
+def test_hard_link_refused_before_any_work(tmp_path, capsys, argv, target, message):
+    _inputs(tmp_path)
+    os.link(tmp_path / target, tmp_path / "h.json")
+    before = _files(tmp_path)
+    capsys.readouterr()
+    assert main([a.replace("{d}", str(tmp_path)) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.replace('{d}', str(tmp_path))}\n"
+    assert captured.out == ""
+    assert _files(tmp_path) == before
