@@ -328,7 +328,7 @@ def _plan_alpha(nonce_set: NonceSet, policy: str, alpha=None) -> tuple[np.ndarra
     targets = SECRETS if policy == POLICY_TARGET_SECRET else (policy_target(policy, SECRETS[0]),)
     if alpha is not None:
         return validate_state(alpha, dim=4, what="alpha"), targets
-    if len(targets) == 4:
+    if policy == POLICY_TARGET_SECRET:
         return _MIXED_PURIFICATION, targets
     return canonical_purification(analysis.r_of_s(nonce_set, targets[0])[1]), targets
 

@@ -245,19 +245,19 @@ def detection_bounds(nonce_set: NonceSet, mode_prior: float = 0.5) -> dict:
     recovery = nonce_set.recovery_stack
     branches = np.where(recovery > adversary.MIN_OUTCOME_P, recovery, 0.0).swapaxes(0, 1)
     # The engine's (mode, s) blocks, in order: branch weights and verdicts of b'.
-    modes, secrets, bases = zip(*[(m, SECRETS.index(s), p_mode * 0.5 / k)
+    modes, secrets, bases = zip(*[(m, int(s, 2), p_mode * 0.5 / k)
                                   for m, p_mode in enumerate((mode_prior, 1.0 - mode_prior))
                                   if p_mode != 0.0 for s in MODE_SECRETS[MODES[m]]])
     weights = np.array(bases)[:, None, None, None] * branches[list(secrets), ..., None]
-    verdicts = VERDICT_INDEX[modes, secrets].repeat(4 * k, axis=0).ravel()
+    # The verdict of each (policy, mode and s, nonce, b, b') mass, flat for ufunc.at's fast path.
+    verdicts = VERDICT_INDEX[modes, secrets] + len(VERDICTS) * np.arange(2)[:, None, None]
+    verdicts = verdicts.repeat(4 * k, axis=1).ravel()
     policies = (adversary.POLICY_TARGET_SECRET, adversary.POLICY_TARGET_01)
     steered, columns = adversary.steered_columns(nonce_set, policies)
-    # (policy, mode and s, nonce, b, b'); target-01's one column broadcasts over b.
     outcomes = stage_iii(nonce_set.reflections, steered)[:, columns].swapaxes(0, 1)[:, None]
     masses = np.zeros((2, len(VERDICTS)))
-    # One by one, in order, as the engine adds (not pairwise); flat, for ufunc.at's fast path.
-    np.add.at(masses.reshape(-1), np.concatenate((verdicts, verdicts + len(VERDICTS))),
-              (weights * outcomes).ravel())
+    # One by one, in order, as the engine adds; np.add.reduce sums pairwise.
+    np.add.at(masses.reshape(-1), verdicts, (weights * outcomes).ravel())
     per_policy = dict(zip(policies, masses[:, VERDICTS.index(EAVESDROPPER_DETECTED)].tolist()))
     # RETIRED is exactly a SECRET-mode round that measured 01 or 10.
     success01 = float(masses[1, VERDICTS.index(RETIRED)]) / mode_prior if mode_prior > 0.0 else 0.0

@@ -99,6 +99,10 @@ def _k64() -> NonceSet:
     return NonceSet(name="seeded k=64 phase set", states=tuple(0.5 * np.exp(1j * phases)))
 
 
+# Before 1.25, numpy dispatched its array functions through Python wrappers, which cProfile
+# counts as calls of their own; the budget counts the package's work under C dispatch.
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "1.25.0",
+                    reason="numpy < 1.25 adds Python-level dispatch calls")
 @pytest.mark.parametrize("ns", [builtin_nonce_set("hsu-I"), builtin_nonce_set("proposed-J"),
                                 _k64()], ids=lambda ns: ns.name)
 def test_warm_certify_call_budget(ns):
