@@ -39,7 +39,6 @@ from .linalg import (
     canonical_purification,
     max_overlap_unitary,
     partial_trace_E,  # noqa: F401 -- benchmarks/traced.py wraps adversary.partial_trace_E
-    state_fidelity,
     validate_state,
     validate_unitary,
 )
@@ -56,6 +55,11 @@ POLICIES = (POLICY_TARGET_SECRET, *(f"target-{t}" for t in SECRETS))
 MIN_OUTCOME_P = 1e-30
 # The secret each recovery outcome b teaches Eve, as one row of branches.
 _LEARNED = np.array([SECRETS])
+
+
+def _branch_weights(recovery: np.ndarray) -> np.ndarray:
+    """An IFR plan's branch weights: the recovery probabilities, 0 for an outcome that never happens."""
+    return np.where(recovery > MIN_OUTCOME_P, recovery, 0.0)
 
 
 def _check_same_set(bound: NonceSet, given: NonceSet) -> None:
@@ -294,8 +298,7 @@ class IfrStrategy:
         """``exact_branches`` for every nonce at once: branch b of nonce i
         learns SECRETS[b] with the recovery probability of outcome b."""
         _check_same_set(self._nonce_set, nonce_set)
-        probs = nonce_set.recovery_stack[:, SECRETS.index(validate_secret(s))]
-        weights = np.where(probs > MIN_OUTCOME_P, probs, 0.0)
+        weights = _branch_weights(nonce_set.recovery_stack[:, SECRETS.index(validate_secret(s))])
         return weights, self._outcomes, _LEARNED.repeat(len(weights), axis=0)
 
 
@@ -371,9 +374,10 @@ def synthesize_plan(nonce_set: NonceSet, policy: str,
 
 def plan_overlaps(plan: AttackPlan, nonce_set: NonceSet) -> dict:
     """Achieved |<psi_{i,target}| (V x I) |alpha>|^2 per (nonce, secret) of
-    ``nonce_set``, which the plan must cover."""
+    ``nonce_set``, which the plan must cover; the moduli of Python complexes
+    round as ``state_fidelity``'s do."""
     plan.validate_for(nonce_set)
     targets = [SECRETS.index(policy_target(plan.policy, s)) for s in SECRETS]
-    return {(i, s): state_fidelity(nonce_set.share_stack[i, t], plan.steered[i, n])
-            for i in range(len(nonce_set)) for n, (s, t) in enumerate(zip(SECRETS, targets))}
-
+    amps = nonce_set.share_stack[:, targets, None].conj() @ plan.steered[:len(nonce_set), :, :, None]
+    return {(i, s): abs(z) ** 2
+            for i, row in enumerate(amps.reshape(-1, 4).tolist()) for s, z in zip(SECRETS, row)}

@@ -26,6 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import adversary
 from .errors import ValidationError
 from .linalg import (
     _MIXED,
@@ -37,11 +38,7 @@ from .linalg import (
     validate_state,
 )
 from .nonces import (
-    MINUS,
-    MINUS_I,
     NonceSet,
-    PLUS,
-    PLUS_I,
     SECRETS,
     basis_state,
     reflection,
@@ -49,7 +46,7 @@ from .nonces import (
     stage_iii,
     validate_secret,
 )
-from .protocol import EAVESDROPPER_DETECTED, MODE_SECRETS, MODES, RETIRED, VERDICTS, VERDICT_INDEX
+from .protocol import EAVESDROPPER_DETECTED, RETIRED, VERDICTS, _add_masses, _mode_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -233,34 +230,25 @@ def detection_bounds(nonce_set: NonceSet, mode_prior: float = 0.5) -> dict:
     plan policies.  Requires a recoverable nonce set.
 
     A closed form: each (mode, s, nonce, b, b') mass |<b'| U_psi_i (V_{i,b}
-    x I)|alpha>|^2, weighted by Eve's recovery of b, is added to its verdict
-    in the exact engine's order, so every value equals the engine's bit for bit.
+    x I)|alpha>|^2, weighted by Eve's recovery of b, goes to the exact
+    engine's core, ``protocol._add_masses``, the two policies as a batch of
+    two, so every value equals the engine's bit for bit.
     """
-    from . import adversary
-
     adversary.require_recoverable(nonce_set)
     if not 0.0 <= mode_prior <= 1.0:
         raise ValidationError(f"mode_prior must be in [0, 1], got {mode_prior}")
-    k = len(nonce_set)
-    recovery = nonce_set.recovery_stack
-    branches = np.where(recovery > adversary.MIN_OUTCOME_P, recovery, 0.0).swapaxes(0, 1)
-    # The engine's (mode, s) blocks, in order: branch weights and verdicts of b'.
-    modes, secrets, bases = zip(*[(m, int(s, 2), p_mode * 0.5 / k)
-                                  for m, p_mode in enumerate((mode_prior, 1.0 - mode_prior))
-                                  if p_mode != 0.0 for s in MODE_SECRETS[MODES[m]]])
-    weights = np.array(bases)[:, None, None, None] * branches[list(secrets), ..., None]
-    # The verdict of each (policy, mode and s, nonce, b, b') mass, flat for ufunc.at's fast path.
-    verdicts = VERDICT_INDEX[modes, secrets] + len(VERDICTS) * np.arange(2)[:, None, None]
-    verdicts = verdicts.repeat(4 * k, axis=1).ravel()
+    blocks = _mode_blocks(mode_prior, len(nonce_set))
+    _, secrets, _ = zip(*blocks)
+    branches = adversary._branch_weights(nonce_set.recovery_stack).swapaxes(0, 1)[list(secrets)]
     policies = (adversary.POLICY_TARGET_SECRET, adversary.POLICY_TARGET_01)
     steered, columns = adversary.steered_columns(nonce_set, policies)
     outcomes = stage_iii(nonce_set.reflections, steered)[:, columns].swapaxes(0, 1)[:, None]
     masses = np.zeros((2, len(VERDICTS)))
-    # One by one, in order, as the engine adds; np.add.reduce sums pairwise.
-    np.add.at(masses.reshape(-1), verdicts, (weights * outcomes).ravel())
-    per_policy = dict(zip(policies, masses[:, VERDICTS.index(EAVESDROPPER_DETECTED)].tolist()))
+    _add_masses(masses, blocks, branches, outcomes)
+    by_verdict = dict(zip(VERDICTS, masses.T.tolist()))
+    per_policy = dict(zip(policies, by_verdict[EAVESDROPPER_DETECTED]))
     # RETIRED is exactly a SECRET-mode round that measured 01 or 10.
-    success01 = float(masses[1, VERDICTS.index(RETIRED)]) / mode_prior if mode_prior > 0.0 else 0.0
+    success01 = by_verdict[RETIRED][1] / mode_prior if mode_prior > 0.0 else 0.0
     return {
         "floor": min(per_policy.values()),
         "ceiling": 1.0 - mode_prior * success01,
@@ -320,15 +308,16 @@ def certify(nonce_set: NonceSet) -> CertificationReport:
 # ---------------------------------------------------------------------------
 # Plain-text rendering in the layout of the share/reduced-share tables
 
-_NAMED_QUBITS = {"|+>": PLUS, "|->": MINUS, "|+i>": PLUS_I, "|-i>": MINUS_I,
-                 "|0>": np.array([1, 0], dtype=complex), "|1>": np.array([0, 1], dtype=complex)}
+# The named qubits with Bloch vectors +x, -x, +y, -y, +z and -z, in match order.
+_NAMED_QUBITS = ("|+><+|", "|-><-|", "|+i><+i|", "|-i><-i|", "|0><0|", "|1><1|")
 
 
-def _label_qubit_state(rho: np.ndarray) -> str:
-    for label, vec in _NAMED_QUBITS.items():
-        if abs(np.vdot(vec, rho @ vec).real - 1.0) < 1e-6:
-            return label + "<" + label[1:-1] + "|"
-    x, y, z = bloch_from_density(rho)
+def _qubit_label(x: float, y: float, z: float) -> str:
+    """The label of the qubit with Bloch vector r = (x, y, z): the first named |v><v| with
+    <v|rho|v> = (1 + n.r)/2 within 1e-6 of 1, else r."""
+    for label, dot in zip(_NAMED_QUBITS, (x, -x, y, -y, z, -z)):
+        if abs(dot - 1.0) < 2e-6:
+            return label
     return f"bloch({x:+.3f},{y:+.3f},{z:+.3f})"
 
 
@@ -350,8 +339,7 @@ def format_certification(nonce_set: NonceSet, report: CertificationReport) -> st
     width = 22
     header = " " * 6 + "".join(f"psi_{i + 1:<2}".ljust(width) for i in range(len(nonce_set)))
     lines.append(header)
-    for s in SECRETS:
-        cells = "".join(_label_qubit_state(rho).ljust(width)
-                        for rho in bob_reduced_shares(nonce_set, s))
-        lines.append(f"s={s}  " + cells)
+    blochs = bloch_from_density(nonce_set.reduced_share_stack.swapaxes(0, 1)).tolist()
+    for s, row in zip(SECRETS, blochs):
+        lines.append(f"s={s}  " + "".join(_qubit_label(*r).ljust(width) for r in row))
     return "\n".join(lines) + "\n"

@@ -286,6 +286,26 @@ def _exact_blocks(nonce_set: NonceSet, strategy, s: str):
                    np.array([learned], dtype=object))
 
 
+def _mode_blocks(mode_prior: float, k: int) -> list:
+    """The exact engine's (mode, s) blocks in order: (m, s index, weight p_mode/2/k of a draw)."""
+    return [(m, int(s, 2), p_mode * 0.5 / k) for m, p_mode in enumerate((mode_prior, 1.0 - mode_prior))
+            if p_mode != 0.0 for s in MODE_SECRETS[MODES[m]]]
+
+
+def _add_masses(masses: np.ndarray, blocks, p_branch: np.ndarray, outcomes: np.ndarray):
+    """Add the draws of ``blocks`` to each row of the (batch, verdict) ``masses``, one by one in
+    the (mode, s, nonce, branch, b) order of a scalar loop, so sums round alike however the
+    draws are blocked.  ``p_branch`` (J, r, n) and Stage III's ``outcomes`` (batch, J, r, n, 4)
+    broadcast; returns the (J, r, n) weights and the (batch, J, r, n, 4) mass."""
+    modes, secrets, bases = zip(*blocks)
+    weights = np.array(bases)[:, None, None] * p_branch
+    mass = weights[..., None] * outcomes
+    verdicts = (np.zeros(mass.shape[1:], np.intp) + VERDICT_INDEX[modes, secrets][:, None, None]).ravel()
+    for row, row_mass in zip(masses, mass):
+        np.add.at(row, verdicts, row_mass.ravel())
+    return weights, mass
+
+
 def outcome_distribution(nonce_set: NonceSet, strategy, mode_prior: float = 0.5) -> ExactDistribution:
     """Exact verdict statistics by enumerating every discrete draw.
 
@@ -296,36 +316,24 @@ def outcome_distribution(nonce_set: NonceSet, strategy, mode_prior: float = 0.5)
     (see ``qsslab.adversary``).  Within SECRET mode the dealer's secret bit
     is averaged uniformly, matching a RoundConfig with ``secret_bit=None``.
 
-    Each block of draws weights its outcome probabilities into (nonce,
-    branch, b) probability mass.  Its sums over branches fill rows of a (mode, s,
-    nonce, b) grid, from which the table is read; ``np.add.at`` adds the
-    block to the verdict masses through ``VERDICT_INDEX``, and Eve's hits
-    are added one by one, all in the (mode, s, nonce, branch, b) order of a
-    scalar loop, so sums round alike however the draws are blocked.  A
-    branch of weight 0 adds exact zeros.
+    Each block of draws goes to ``_add_masses`` as it comes, a batch of one;
+    its sums over branches fill rows of a (mode, s, nonce, b) grid, from which
+    the table is read.  Eve's hits are added one by one in the same order.
     """
     if not 0.0 <= mode_prior <= 1.0:
         raise ValidationError(f"mode_prior must be in [0, 1], got {mode_prior}")
     k = len(nonce_set)
     grid = np.zeros((len(MODES), len(SECRETS), k, len(SECRETS)))
-    masses = np.zeros(len(VERDICTS))
+    masses = np.zeros((1, len(VERDICTS)))
     p_eve = 0.0
-    for m, (mode, p_mode) in enumerate(((SECRET, mode_prior), (DETECT, 1.0 - mode_prior))):
-        if p_mode == 0.0:
-            continue
-        base = p_mode * 0.5 / k
-        for s in MODE_SECRETS[mode]:
-            row = grid[m, SECRETS.index(s)]
-            verdict_of_b = VERDICT_INDEX[m, SECRETS.index(s)][None]
-            for first, p_branch, outcomes, learned in _exact_blocks(nonce_set, strategy, s):
-                weights = np.multiply(base, p_branch)
-                block = weights[..., None] * outcomes
-                block.sum(axis=1, out=row[first:first + len(p_branch)])
-                flat = block.reshape(-1, 4)
-                np.add.at(masses, verdict_of_b.repeat(len(flat), axis=0), flat)
-                for w in weights[np.asarray(learned) == s].tolist():
-                    p_eve += w
-    verdict_probs = {v: float(masses[n]) for n, v in enumerate(VERDICTS)}
+    for block in _mode_blocks(mode_prior, k):
+        m, n, _ = block
+        for first, p_branch, outcomes, learned in _exact_blocks(nonce_set, strategy, SECRETS[n]):
+            weights, mass = _add_masses(masses, [block], p_branch[None], outcomes[None, None])
+            mass[0, 0].sum(axis=1, out=grid[m, n, first:first + len(p_branch)])
+            for w in weights[0][np.asarray(learned) == SECRETS[n]].tolist():
+                p_eve += w
+    verdict_probs = dict(zip(VERDICTS, masses[0].tolist()))
     return ExactDistribution(
         grid,
         p_detect=verdict_probs[EAVESDROPPER_DETECTED],

@@ -11,6 +11,8 @@ witnesses of the recovery law and of the universal detection ceiling.
 per (secret, nonce) and its pair list built at once; ``eager_recovery``
 is the recovery-probability formula the report once ran up front, which the
 report now runs when first read.
+``label_qubit_state`` is the per-share labeller ``format_certification``
+once ran, one ``np.vdot`` per named qubit.
 ``stacked_bloch``, ``pauli_sum_density`` and ``mean_objective_coeffs``
 keep the plain forms of helpers the package writes leaner; the package
 must equal them byte for byte.  ``density_secrecy``
@@ -28,7 +30,8 @@ from qsslab.errors import ValidationError
 from qsslab.jsonio import complex_to_json
 from qsslab.linalg import (PAULI_X, PAULI_Y, PAULI_Z, TOL, bloch_from_density, density_from_bloch,
                            fidelity, is_pure, pure_density, state_fidelity)
-from qsslab.nonces import NonceSet, SECRETS, share_state, validate_secret
+from qsslab.nonces import (MINUS, MINUS_I, PLUS, PLUS_I, NonceSet, SECRETS, share_state,
+                           validate_secret)
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -170,6 +173,20 @@ def recovery_amplitude(overlap_sq: float) -> float:
     if not 0.0 <= x <= 1.0 + TOL:
         raise ValidationError(f"overlap_sq must lie in [0, 1], got {x}")
     return x * (3.0 - 4.0 * x) ** 2
+
+
+NAMED_QUBITS = {"|+>": PLUS, "|->": MINUS, "|+i>": PLUS_I, "|-i>": MINUS_I,
+                "|0>": np.array([1, 0], dtype=complex), "|1>": np.array([0, 1], dtype=complex)}
+
+
+def label_qubit_state(rho: np.ndarray) -> str:
+    """|v><v| for the first named qubit v with <v|rho|v> within 1e-6 of 1, else
+    rho's Bloch vector to three decimals."""
+    for label, vec in NAMED_QUBITS.items():
+        if abs(np.vdot(vec, rho @ vec).real - 1.0) < 1e-6:
+            return label + "<" + label[1:-1] + "|"
+    x, y, z = bloch_from_density(rho)
+    return f"bloch({x:+.3f},{y:+.3f},{z:+.3f})"
 
 
 def stacked_bloch(rho) -> np.ndarray:

@@ -512,6 +512,21 @@ class TestPlanOverlaps:
         assert overlaps == {key: v for key, v in plan_overlaps(plan, hsu_set).items()
                             if key[0] < 2}
 
+    def test_equal_state_fidelity_per_pair(self, hsu_set, proposed_set):
+        # One stacked product must round as one state_fidelity call per (nonce, secret).
+        rng = np.random.default_rng(372)
+        sets = [hsu_set, proposed_set] + [
+            phase_set(rng.uniform(0.0, 2.0 * np.pi, (1 + (7 * n) % 64, 4)), f"phase-{n}")
+            for n in range(30)]
+        for ns in sets:
+            for policy in POLICIES:
+                for alpha in (None, haar_state(4, rng)):
+                    plan = synthesize_plan(ns, policy, alpha=alpha)
+                    want = {(i, s): state_fidelity(ns.share_stack[i, int(policy_target(policy, s), 2)],
+                                                   plan.steered[i, n])
+                            for i in range(len(ns)) for n, s in enumerate(SECRETS)}
+                    assert plan_overlaps(plan, ns) == want, (ns.name, policy, alpha is None)
+
     def test_plan_smaller_than_set_refused(self, proposed_set, hsu_set):
         plan = synthesize_plan(proposed_set, "target-01")
         with pytest.raises(PlanIncompleteError, match="covers 4 nonces, fewer than the 16"):

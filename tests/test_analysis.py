@@ -40,6 +40,7 @@ from oracles import (
     density_secrecy,
     grid_max_average_fidelity,
     haar_state,
+    label_qubit_state,
     phase_set,
     phase_states,
     random_density,
@@ -366,6 +367,26 @@ class TestCertify:
         text = format_certification(proposed_set, report)
         assert "|-><-|" in text and "|+i><+i|" in text
         assert "recoverable" in text and "PASS" in text
+
+    def test_share_labels_equal_the_per_share_labeller(self):
+        # The six named qubits, shares 1e-7 and 7e-7 (labelled), 1.3e-6 and 1e-5 (not) off
+        # each, by shrinking or tilting the Bloch vector, Haar shares, and a -0.0004 component.
+        rng = np.random.default_rng(25)
+        rhos = []
+        for n in (sign * axis for axis in np.eye(3) for sign in (1.0, -1.0)):
+            tilt = np.roll(n, 1)
+            rhos.append(density_from_bloch(n))
+            for delta in (1e-7, 7e-7, 1.3e-6, 1e-5):  # <v|rho|v> = 1 - delta
+                theta = 2.0 * np.arcsin(np.sqrt(delta))
+                rhos += [density_from_bloch((1.0 - 2.0 * delta) * n),
+                         density_from_bloch(np.cos(theta) * n + np.sin(theta) * tilt)]
+        rhos += [pure_density(haar_state(2, rng)) for _ in range(50)]
+        rhos += [random_density(rng) for _ in range(50)]
+        rhos.append(density_from_bloch([-0.0004, 0.3, 0.2]))
+        got = [analysis._qubit_label(*r) for r in bloch_from_density(np.array(rhos)).tolist()]
+        assert got == [label_qubit_state(rho) for rho in rhos]
+        assert got[:9] == ["|+><+|"] * 5 + [f"bloch(+1.000,+0.00{y},+0.000)" for y in "0206"]
+        assert got[-1] == "bloch(-0.000,+0.300,+0.200)"
 
     def test_one_recoverability_threshold(self):
         # Seeded 1/2 e^{i phi} sets with one amplitude's modulus moved off
